@@ -65,13 +65,10 @@ from .permrep import (
     energy_basis,
     evolve_ontic,
     fourier_block,
-    permutation_from_cycles,
     permutation_matrix,
     random_permutation,
-    to_energy_basis,
 )
 from .reduction import (
-    BipartiteView,
     bipartite_view,
     purity,
     purity_from_density,

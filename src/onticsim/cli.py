@@ -65,7 +65,7 @@ def _parse_subset_policy(text: str) -> tuple[tuple[int, ...] | None, int | None]
             raise ConfigError(f"cannot parse subset policy part {part!r}")
         if key == "sizes":
             sizes = _parse_int_list(value)
-        elif key in ("sampled", "sample"):
+        elif key == "sampled":
             value = value.removesuffix("-per-size")
             try:
                 samples = int(value)
@@ -95,7 +95,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         samples_per_size=samples,
         density=args.density,
         ontic_vectors=vectors,
-        threads=args.threads,
     )
     records = run_sweep(config)
     _write_output(args.out, sweep_csv(records, config))
@@ -191,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--density", type=float, help="fixed popcount fraction for states")
     p.add_argument("--ontic", action="append", help="explicit state n:0xHEX (repeatable)")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default="-", help="CSV destination (default stdout)")
     p.add_argument("--plot-data", help="also write the per-size envelope here")
     p.add_argument("--summary", action="store_true", help="print per-size summary")

@@ -13,7 +13,6 @@ import itertools
 import math
 import random
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ from .bitstate import OnticVector, random_ontic
 from .entropy import collision_entropy
 from .errors import ConfigError, EmptyInput, SizeMismatch
 from .indexing import FactorizationShape, SubsystemMask
-from .permrep import Permutation, apply_permutation, energy_basis, to_energy_basis
+from .permrep import Permutation, apply_permutation, energy_basis
 from .reduction import purity
 from .states import state_from_ontic
 
@@ -66,9 +65,7 @@ class SweepConfig:
     samples_per_size: int | None = None
     density: float | None = None
     ontic_vectors: tuple[OnticVector, ...] | None = None
-    threads: int = 1
     gram_dim_cap: int = 1 << 13
-    log_base: int = 2
 
     def validate(self) -> None:
         shape = self.shape
@@ -98,6 +95,8 @@ class SweepConfig:
         elif self.generator is not None:
             raise ConfigError("a generator is only meaningful with basis='energy'")
         if self.subset_sizes is not None:
+            if not self.subset_sizes:
+                raise ConfigError("subset_sizes must name at least one size")
             for a in self.subset_sizes:
                 if not 1 <= a <= shape.k - 1:
                     raise ConfigError(f"subset size {a} outside 1..{shape.k - 1}")
@@ -105,10 +104,6 @@ class SweepConfig:
             raise ConfigError("samples_per_size must be >= 1")
         if self.density is not None and not 0.0 < self.density < 1.0:
             raise ConfigError(f"density must be in (0, 1), got {self.density}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
-        if self.log_base != 2:
-            raise ConfigError("entropies are reported in bits; log_base must be 2")
 
     @property
     def effective_num_states(self) -> int:
@@ -188,8 +183,9 @@ def _enumerate_masks(config: SweepConfig, rng: random.Random) -> list[SubsystemM
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Collision entropy of every configured (state, subsystem) pair.
 
-    Records come back sorted by (state_id, subset size, mask value) and are
-    deterministic for a fixed configuration, threads included.
+    Records come back sorted by (state_id, subset size, mask value), the
+    order in which states and masks are enumerated, and are deterministic
+    for a fixed configuration.
     """
     config.validate()
     rng = random.Random(config.seed)
@@ -197,21 +193,13 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     states = [state_from_ontic(q, config.shape) for q in vectors]
     if config.basis == "energy":
         basis = energy_basis(config.generator)
-        states = [to_energy_basis(basis, psi) for psi in states]
+        states = [basis.transform(psi) for psi in states]
     masks = _enumerate_masks(config, rng)
-
-    def compute(job: tuple[int, SubsystemMask]) -> SweepRecord:
-        sid, mask = job
-        p = purity(states[sid], mask)
-        return SweepRecord(sid, mask.mask, mask.size, p, collision_entropy(p))
-
-    jobs = [(sid, mask) for sid in range(len(states)) for mask in masks]
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            records = list(pool.map(compute, jobs, chunksize=64))
-    else:
-        records = [compute(job) for job in jobs]
-    records.sort(key=lambda r: (r.state_id, r.subset_size, r.subset_mask))
+    records = []
+    for sid, psi in enumerate(states):
+        for mask in masks:
+            p = purity(psi, mask)
+            records.append(SweepRecord(sid, mask.mask, mask.size, p, collision_entropy(p)))
     return records
 
 
@@ -234,19 +222,15 @@ class SweepSummary:
     max_complement_asymmetry: float
 
 
-def summarize_by_size(records, k: int | None = None) -> SweepSummary:
+def summarize_by_size(records, k: int) -> SweepSummary:
     """Per-size statistics plus the largest entropy difference between any
     subsystem and its complement.
 
-    ``k`` is the number of factor positions, needed to pair complements;
-    when omitted it is inferred from the widest mask present.
+    ``k`` is the number of factor positions, needed to pair complements.
     """
     records = list(records)
     if not records:
         raise EmptyInput("no sweep records to summarize")
-    if k is None:
-        k = max(max(r.subset_mask.bit_length() for r in records),
-                max(r.subset_size for r in records) + 1)
     full = (1 << k) - 1
 
     by_key = {(r.state_id, r.subset_mask): r.s2_bits for r in records}
@@ -396,7 +380,7 @@ def _metadata_lines(config: SweepConfig) -> list[str]:
         lines.append(f"# generator={config.generator.cycle_string()}")
     lines.append(f"# subset_policy={config.policy_label()}")
     lines.append(f"# sampling={config.sampling_label()}")
-    lines.append(f"# log_base={config.log_base}")
+    lines.append("# log_base=2")
     return lines
 
 

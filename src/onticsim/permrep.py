@@ -26,14 +26,12 @@ from .states import PureState
 __all__ = [
     "Permutation",
     "EnergyBasis",
-    "permutation_from_cycles",
     "random_permutation",
     "apply_permutation",
     "evolve_ontic",
     "fourier_block",
     "permutation_matrix",
     "energy_basis",
-    "to_energy_basis",
 ]
 
 
@@ -154,11 +152,6 @@ class Permutation:
         if not isinstance(other, Permutation):
             return NotImplemented
         return np.array_equal(self.images, other.images)
-
-
-def permutation_from_cycles(n: int, cycles) -> Permutation:
-    """Module-level alias for :meth:`Permutation.from_cycles`."""
-    return Permutation.from_cycles(n, cycles)
 
 
 def random_permutation(n: int, seed: int | None = None) -> Permutation:
@@ -293,8 +286,3 @@ def energy_basis(g: Permutation) -> EnergyBasis:
     """Grouping order and Fourier block sizes for the generator's cycles."""
     order = np.concatenate([np.asarray(c, dtype=np.int64) for c in g.cycles])
     return EnergyBasis(g, order, tuple(len(c) for c in g.cycles))
-
-
-def to_energy_basis(basis: EnergyBasis, psi: PureState) -> PureState:
-    """Map a state to the eigenbasis of the evolution generator."""
-    return basis.transform(psi)

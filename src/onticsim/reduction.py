@@ -10,8 +10,6 @@ makes the full sweep over thousands of subsystems cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, DimensionCap, TrivialSubsystem
@@ -19,29 +17,12 @@ from .indexing import SubsystemMask, merge_index
 from .states import DensityMatrix, PureState
 
 __all__ = [
-    "BipartiteView",
     "bipartite_view",
     "reduced_density",
     "reduced_density_bruteforce",
     "purity",
     "purity_from_density",
 ]
-
-
-@dataclass(frozen=True)
-class BipartiteView:
-    """Amplitudes reshaped to (subsystem dim) x (complement dim)."""
-
-    matrix: np.ndarray
-    mask: SubsystemMask
-
-    @property
-    def d_subsystem(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def d_complement(self) -> int:
-        return self.matrix.shape[1]
 
 
 def _check_pair(psi: PureState, mask: SubsystemMask) -> None:
@@ -55,9 +36,10 @@ def _check_pair(psi: PureState, mask: SubsystemMask) -> None:
         )
 
 
-def bipartite_view(psi: PureState, mask: SubsystemMask) -> BipartiteView:
-    """Arrange amplitudes so rows run over subsystem digits and columns
-    over complement digits (both big-endian over ascending positions).
+def bipartite_view(psi: PureState, mask: SubsystemMask) -> np.ndarray:
+    """Arrange amplitudes as a contiguous (subsystem dim) x (complement dim)
+    matrix: rows run over subsystem digits and columns over complement
+    digits (both big-endian over ascending positions).
 
     Entry placement agrees with ``indexing.split_index``: the amplitude at
     global index i lands at Psi[row, col] = Psi[split_index(shape, mask, i)].
@@ -67,7 +49,7 @@ def bipartite_view(psi: PureState, mask: SubsystemMask) -> BipartiteView:
     comp = mask.complement().positions
     tensor = psi.amps.reshape(psi.shape.dims)
     mat = tensor.transpose(pos + comp).reshape(mask.dim, -1)
-    return BipartiteView(np.ascontiguousarray(mat), mask)
+    return np.ascontiguousarray(mat)
 
 
 def reduced_density(psi: PureState, mask: SubsystemMask, cap: int = 4096) -> DensityMatrix:
@@ -75,7 +57,7 @@ def reduced_density(psi: PureState, mask: SubsystemMask, cap: int = 4096) -> Den
     _check_pair(psi, mask)
     if mask.dim > cap:
         raise DimensionCap(f"subsystem dimension {mask.dim} exceeds cap {cap}")
-    m = bipartite_view(psi, mask).matrix
+    m = bipartite_view(psi, mask)
     gram = m @ m.conj().T
     # symmetrize away the last-bit asymmetry of the matrix product
     return DensityMatrix((gram + gram.conj().T) / 2.0)
@@ -105,8 +87,7 @@ def reduced_density_bruteforce(psi: PureState, mask: SubsystemMask, cap: int = 2
 def purity(psi: PureState, mask: SubsystemMask) -> float:
     """tr(rho_A**2) through the Gram matrix on the smaller side of the
     bipartition; never materializes the reduced matrix on the large side."""
-    view = bipartite_view(psi, mask)
-    m = view.matrix
+    m = bipartite_view(psi, mask)
     if m.shape[0] <= m.shape[1]:
         gram = m @ m.conj().T
     else:

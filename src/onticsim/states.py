@@ -69,13 +69,6 @@ class PureState:
         """Overlap with the (unnormalized) all-ones vector."""
         return complex(self.amps.sum())
 
-    def to_csv(self) -> str:
-        """Debug dump of the amplitudes as "index,re,im" rows."""
-        lines = ["index,re,im"]
-        for i, a in enumerate(self.amps):
-            lines.append(f"{i},{a.real:.17g},{a.imag:.17g}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class NaturalVector:

@@ -130,6 +130,17 @@ class TestSweep:
                 if ln and not ln.startswith(("#", "state_id"))]
         assert len(data) == 4 + 4
 
+    def test_empty_size_list_exits_2_before_output(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--shape", "2x2x2", "--subset-policy", "sizes=",
+            "--plot-data", str(tmp_path / "p.txt"),
+        )
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+        assert not (tmp_path / "p.txt").exists()
+
     def test_subset_policy_garbage_exits_2(self, capsys):
         code, _, _ = run_cli(
             capsys, "sweep", "--shape", "2x2", "--subset-policy", "frob=1"

@@ -15,10 +15,8 @@ from onticsim.permrep import (
     energy_basis,
     evolve_ontic,
     fourier_block,
-    permutation_from_cycles,
     permutation_matrix,
     random_permutation,
-    to_energy_basis,
 )
 from onticsim.states import density_full, state_from_ontic
 
@@ -29,34 +27,34 @@ def flat_shape(n):
 
 class TestConstruction:
     def test_cycle_type(self):
-        g = permutation_from_cycles(5, [[0, 1, 2], [3, 4]])
+        g = Permutation.from_cycles(5, [[0, 1, 2], [3, 4]])
         assert g.cycle_type == (3, 2)
         assert g.order == 6
 
     def test_empty_is_identity(self):
-        g = permutation_from_cycles(3, [])
+        g = Permutation.from_cycles(3, [])
         assert g.cycle_type == (1, 1, 1)
         assert g == Permutation.identity(3)
 
     def test_point_reuse_rejected(self):
         with pytest.raises(InvalidCycle):
-            permutation_from_cycles(4, [[0, 1], [1, 2]])
+            Permutation.from_cycles(4, [[0, 1], [1, 2]])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(InvalidCycle):
-            permutation_from_cycles(3, [[0, 3]])
+            Permutation.from_cycles(3, [[0, 3]])
 
     def test_canonical_cycles(self):
-        g = permutation_from_cycles(6, [[4, 5], [2, 0, 1]])
+        g = Permutation.from_cycles(6, [[4, 5], [2, 0, 1]])
         assert g.cycles == ((0, 1, 2), (3,), (4, 5))
 
     def test_images_follow_right_action(self):
-        g = permutation_from_cycles(3, [[0, 1, 2]])
+        g = Permutation.from_cycles(3, [[0, 1, 2]])
         assert g.images.tolist() == [1, 2, 0]
 
     def test_parse(self):
         g = Permutation.parse(5, "(0 1 2)(3 4)")
-        assert g == permutation_from_cycles(5, [[0, 1, 2], [3, 4]])
+        assert g == Permutation.from_cycles(5, [[0, 1, 2], [3, 4]])
         assert Permutation.parse(3, "") == Permutation.identity(3)
         with pytest.raises(ConfigError):
             Permutation.parse(3, "0 1)")
@@ -114,7 +112,7 @@ class TestApplyPermutation:
     def test_hand_swap(self):
         shape = flat_shape(2)
         psi = state_from_ontic(OnticVector.from_bitstring("10"), shape)
-        g = permutation_from_cycles(2, [[0, 1]])
+        g = Permutation.from_cycles(2, [[0, 1]])
         out = apply_permutation(g, psi, 1)
         np.testing.assert_allclose(out.amps, [-(2**-0.5), 2**-0.5], atol=1e-15)
 
@@ -199,12 +197,12 @@ class TestEnergyBasis:
         np.testing.assert_allclose(basis.eigenvalues(), np.ones(3), atol=0)
 
     def test_single_cycle_is_full_fourier(self):
-        g = permutation_from_cycles(6, [[0, 1, 2, 3, 4, 5]])
+        g = Permutation.from_cycles(6, [[0, 1, 2, 3, 4, 5]])
         basis = energy_basis(g)
         np.testing.assert_allclose(basis.matrix(), fourier_block(6), atol=1e-15)
 
     def test_eigenphases_example(self):
-        g = permutation_from_cycles(5, [[0, 1, 2], [3, 4]])
+        g = Permutation.from_cycles(5, [[0, 1, 2], [3, 4]])
         basis = energy_basis(g)
         assert basis.eigenphase_exponents == ((3, 0), (3, 1), (3, 2), (2, 0), (2, 1))
         # numerical diagonalization oracle
@@ -228,7 +226,7 @@ class TestEnergyBasis:
         g = random_permutation(12, seed=13)
         basis = energy_basis(g)
         psi = state_from_ontic(random_ontic(12, seed=14), shape)
-        out = to_energy_basis(basis, psi)
+        out = basis.transform(psi)
         np.testing.assert_allclose(out.amps, basis.matrix() @ psi.amps, atol=1e-13)
 
     def test_transform_preserves_norm(self):

@@ -179,14 +179,6 @@ class TestTypes:
         with pytest.raises(ValueError):
             psi.amps[0] = 0.0
 
-    def test_pure_state_csv_dump(self):
-        psi = state_from_ontic(bs("1001"), flat_shape(4))
-        lines = psi.to_csv().strip().split("\n")
-        assert lines[0] == "index,re,im"
-        assert len(lines) == 5
-        idx, re, im = lines[1].split(",")
-        assert (idx, float(re), float(im)) == ("0", 0.5, 0.0)
-
     def test_density_matrix_validates(self):
         with pytest.raises(NumericViolation):
             DensityMatrix(np.array([[0.6, 0.0], [0.0, 0.6]]))
