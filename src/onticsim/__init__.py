@@ -1,7 +1,7 @@
 """Finite-dimensional quantum states from bit vectors: Hilbert-space
 factorization, subsystem entropies, and permutation evolutions."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .bitstate import (
     OnticVector,
@@ -74,6 +74,7 @@ from .reduction import (
     purity_from_density,
     reduced_density,
     reduced_density_bruteforce,
+    stack_purities,
 )
 from .states import (
     DensityMatrix,

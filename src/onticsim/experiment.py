@@ -19,10 +19,10 @@ import numpy as np
 
 from .bitstate import OnticVector, random_ontic
 from .entropy import collision_entropy
-from .errors import ConfigError, EmptyInput, SizeMismatch
+from .errors import ConfigError, EmptyInput, NumericViolation, SizeMismatch
 from .indexing import FactorizationShape, SubsystemMask
 from .permrep import Permutation, apply_permutation, energy_basis
-from .reduction import purity
+from .reduction import purity, stack_purities
 from .states import state_from_ontic
 
 __all__ = [
@@ -195,10 +195,20 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
         basis = energy_basis(config.generator)
         states = [basis.transform(psi) for psi in states]
     masks = _enumerate_masks(config, rng)
+    if config.basis == "ontic":
+        # state_from_ontic builds real amplitudes, so dropping the zero
+        # imaginary part is exact and the kernel runs in float64
+        if any(psi.amps.imag.any() for psi in states):
+            raise NumericViolation("ontic-basis amplitudes have a nonzero imaginary part")
+        stack = np.stack([psi.amps.real for psi in states])
+    else:
+        stack = np.stack([psi.amps for psi in states])
+    purities = np.empty((len(masks), len(states)))
+    for i, mask in enumerate(masks):
+        purities[i] = stack_purities(stack, mask)
     records = []
-    for sid, psi in enumerate(states):
-        for mask in masks:
-            p = purity(psi, mask)
+    for sid, column in enumerate(purities.T.tolist()):
+        for mask, p in zip(masks, column):
             records.append(SweepRecord(sid, mask.mask, mask.size, p, collision_entropy(p)))
     return records
 

@@ -6,13 +6,20 @@ big side of a bipartition: with Psi the (subsystem x complement) reshape
 of the amplitudes, tr(rho_A**2) = ||Psi Psi†||_F**2 = ||Psi† Psi||_F**2,
 so the Gram matrix is always formed on the smaller side.  That is what
 makes the full sweep over thousands of subsystems cheap.
+
+``stack_purities`` is the one purity kernel.  It takes the amplitudes of
+S states stacked as an (S, N) array and one mask, transposes the whole
+stack once into (S, subsystem dim, complement dim), and forms one 2-D
+Gram matrix per state.  The sweep hands it a float64 stack in the ontic
+basis, where amplitudes are real, and a complex128 stack in the energy
+basis; ``purity`` is the same kernel on a one-row stack.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, DimensionCap, TrivialSubsystem
+from .errors import ConfigError, DimensionCap, NumericViolation, TrivialSubsystem
 from .indexing import SubsystemMask, merge_index
 from .states import DensityMatrix, PureState
 
@@ -22,7 +29,19 @@ __all__ = [
     "reduced_density_bruteforce",
     "purity",
     "purity_from_density",
+    "stack_purities",
 ]
+
+# slack on the purity range [1/min(d_A, d_B), 1] before a computed purity
+# counts as a broken invariant
+PURITY_TOLERANCE = 1e-9
+
+
+def _check_proper(mask: SubsystemMask) -> None:
+    if not mask.is_proper:
+        raise TrivialSubsystem(
+            "reduction needs a proper nonempty subset of the factor positions"
+        )
 
 
 def _check_pair(psi: PureState, mask: SubsystemMask) -> None:
@@ -30,10 +49,17 @@ def _check_pair(psi: PureState, mask: SubsystemMask) -> None:
         raise ConfigError(
             f"mask shape {mask.shape} does not match state shape {psi.shape}"
         )
-    if not mask.is_proper:
-        raise TrivialSubsystem(
-            "reduction needs a proper nonempty subset of the factor positions"
-        )
+    _check_proper(mask)
+
+
+def _bipartite_stack(stack: np.ndarray, mask: SubsystemMask) -> np.ndarray:
+    """One contiguous (S, subsystem dim, complement dim) copy of an (S, N)
+    amplitude stack: each state's tensor transposed to the mask's positions
+    followed by the complement's, both ascending."""
+    s = stack.shape[0]
+    axes = (0,) + tuple(p + 1 for p in mask.positions + mask.complement().positions)
+    tensor = stack.reshape((s,) + mask.shape.dims).transpose(axes)
+    return np.ascontiguousarray(tensor).reshape(s, mask.dim, -1)
 
 
 def bipartite_view(psi: PureState, mask: SubsystemMask) -> np.ndarray:
@@ -45,11 +71,39 @@ def bipartite_view(psi: PureState, mask: SubsystemMask) -> np.ndarray:
     global index i lands at Psi[row, col] = Psi[split_index(shape, mask, i)].
     """
     _check_pair(psi, mask)
-    pos = mask.positions
-    comp = mask.complement().positions
-    tensor = psi.amps.reshape(psi.shape.dims)
-    mat = tensor.transpose(pos + comp).reshape(mask.dim, -1)
-    return np.ascontiguousarray(mat)
+    return _bipartite_stack(psi.amps[np.newaxis], mask)[0]
+
+
+def stack_purities(stack: np.ndarray, mask: SubsystemMask) -> np.ndarray:
+    """tr(rho_A**2) of every row of an (S, N) amplitude stack, one Gram
+    matrix per state on the smaller side of the bipartition.
+
+    Works in the stack's own dtype: float64 for real amplitudes,
+    complex128 otherwise.  A purity outside [1/min(d_A, d_B), 1] beyond
+    ``PURITY_TOLERANCE`` raises NumericViolation naming the mask and row.
+    """
+    if stack.ndim != 2 or stack.shape[1] != mask.shape.total:
+        raise ConfigError(
+            f"amplitude stack of shape {stack.shape} does not match {mask.shape}"
+        )
+    _check_proper(mask)
+    mats = _bipartite_stack(stack, mask)
+    d_a, d_b = mats.shape[1:]
+    out = np.empty(len(mats))
+    for row, m in enumerate(mats):
+        # on a real array .conj() returns the array itself, so the real
+        # path makes no conjugate copy
+        gram = m @ m.conj().T if d_a <= d_b else m.conj().T @ m
+        out[row] = np.vdot(gram, gram).real
+    low = 1.0 / min(d_a, d_b) - PURITY_TOLERANCE
+    in_range = (out >= low) & (out <= 1.0 + PURITY_TOLERANCE)
+    if not in_range.all():
+        row = int(np.argmin(in_range))
+        raise NumericViolation(
+            f"purity {out[row]!r} of mask 0b{mask.mask:b}, state row {row}, "
+            f"outside [1/{min(d_a, d_b)}, 1]"
+        )
+    return out
 
 
 def reduced_density(psi: PureState, mask: SubsystemMask, cap: int = 4096) -> DensityMatrix:
@@ -85,14 +139,9 @@ def reduced_density_bruteforce(psi: PureState, mask: SubsystemMask, cap: int = 2
 
 
 def purity(psi: PureState, mask: SubsystemMask) -> float:
-    """tr(rho_A**2) through the Gram matrix on the smaller side of the
-    bipartition; never materializes the reduced matrix on the large side."""
-    m = bipartite_view(psi, mask)
-    if m.shape[0] <= m.shape[1]:
-        gram = m @ m.conj().T
-    else:
-        gram = m.conj().T @ m
-    return float(np.vdot(gram, gram).real)
+    """tr(rho_A**2) of one state: ``stack_purities`` on a one-row stack."""
+    _check_pair(psi, mask)
+    return float(stack_purities(psi.amps[np.newaxis], mask)[0])
 
 
 def purity_from_density(rho: DensityMatrix) -> float:

@@ -2,6 +2,8 @@
 
 import math
 
+import onticsim.experiment
+import onticsim.reduction
 from onticsim.cli import main
 
 
@@ -141,6 +143,34 @@ class TestSweep:
         assert "error" in err
         assert not (tmp_path / "p.txt").exists()
 
+    def test_explicit_state_rows_match_inside_a_larger_run(self, capsys):
+        patterns = ["16:0x1234", "16:0xBEEF", "16:0x0F0F"]
+        argv = ["sweep", "--shape", "2^4"]
+        code, out, _ = run_cli(
+            capsys, *argv, *(a for q in patterns for a in ("--ontic", q))
+        )
+        assert code == 0
+        rows = [ln.split(",", 1) for ln in out.split("\n")
+                if ln and ln[0].isdigit()]
+        for sid, q in enumerate(patterns):
+            code, alone, _ = run_cli(capsys, *argv, "--ontic", q)
+            assert code == 0
+            want = [ln.split(",", 1)[1] for ln in alone.split("\n")
+                    if ln and ln[0].isdigit()]
+            got = [rest for state, rest in rows if state == str(sid)]
+            assert got == want
+
+    def test_out_of_range_purity_exits_3(self, capsys, monkeypatch):
+        kernel = onticsim.experiment.stack_purities
+        monkeypatch.setattr(
+            onticsim.experiment, "stack_purities",
+            lambda stack, mask: kernel(stack * 1.5, mask),
+        )
+        code, _, err = run_cli(capsys, "sweep", "--shape", "2x2x2", "--states", "2")
+        assert code == 3
+        assert "numeric invariant violated" in err
+        assert "Traceback" not in err
+
     def test_subset_policy_garbage_exits_2(self, capsys):
         code, _, _ = run_cli(
             capsys, "sweep", "--shape", "2x2", "--subset-policy", "frob=1"
@@ -180,6 +210,21 @@ class TestEvolve:
             "--mask", "1", "--ontic", "4:0x9", "--t-max", "5",
         )
         assert code == 2
+
+    def test_out_of_range_purity_exits_3(self, capsys, monkeypatch):
+        kernel = onticsim.reduction.stack_purities
+        monkeypatch.setattr(
+            onticsim.reduction, "stack_purities",
+            lambda stack, mask: kernel(stack * 1.5, mask),
+        )
+        code, _, err = run_cli(
+            capsys,
+            "evolve", "--shape", "2x2", "--generator", "(0 1)",
+            "--mask", "1", "--ontic", "4:0x9", "--t-max", "1",
+        )
+        assert code == 3
+        assert "numeric invariant violated" in err
+        assert "Traceback" not in err
 
     def test_allow_wrap(self, capsys):
         code, _, _ = run_cli(

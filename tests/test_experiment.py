@@ -6,9 +6,10 @@ import random
 import numpy as np
 import pytest
 
+import onticsim.experiment
 from onticsim.bitstate import OnticVector, popcount, random_ontic
 from onticsim.entropy import collision_entropy
-from onticsim.errors import ConfigError, EmptyInput
+from onticsim.errors import ConfigError, EmptyInput, NumericViolation
 from onticsim.experiment import (
     SweepConfig,
     plot_data_text,
@@ -21,7 +22,7 @@ from onticsim.experiment import (
 from onticsim.indexing import FactorizationShape, SubsystemMask
 from onticsim.permrep import Permutation, evolve_ontic, random_permutation
 from onticsim.reduction import purity
-from onticsim.states import state_from_ontic
+from onticsim.states import PureState, state_from_ontic
 
 
 def bs(text):
@@ -152,6 +153,16 @@ class TestRunSweep:
         )
         for a, b in zip(ontic, energy):
             assert a.purity == pytest.approx(b.purity, abs=1e-12)
+
+    def test_complex_ontic_amplitudes_rejected(self, monkeypatch):
+        # the ontic sweep drops the imaginary part only after checking it
+        # is zero; a unit phase keeps the norm but breaks that premise
+        def rotated(q, shape):
+            return PureState(1j * state_from_ontic(q, shape).amps, shape)
+
+        monkeypatch.setattr(onticsim.experiment, "state_from_ontic", rotated)
+        with pytest.raises(NumericViolation, match="imaginary"):
+            run_sweep(SweepConfig(shape=FactorizationShape((2, 2)), num_states=1))
 
     def test_records_satisfy_bounds(self):
         shape = FactorizationShape((2,) * 6)

@@ -1,9 +1,11 @@
-"""Every public export of the package resolves to a real attribute."""
+"""Every public export of the package resolves to a real attribute, and the
+package version agrees with the project metadata."""
 
 import ast
 import importlib
 import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -37,3 +39,11 @@ def test_package_imports_resolve():
         or not hasattr(onticsim, attr)
     ]
     assert missing == []
+
+
+def test_version_matches_pyproject():
+    # tomllib is missing on Python 3.10, so read the one line directly
+    text = (pathlib.Path(__file__).parents[1] / "pyproject.toml").read_text()
+    declared = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
+    assert declared is not None
+    assert declared.group(1) == onticsim.__version__

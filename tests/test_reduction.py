@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from onticsim.bitstate import OnticVector, complement, random_ontic
-from onticsim.errors import DimensionCap, TrivialSubsystem
+from onticsim.errors import ConfigError, DimensionCap, NumericViolation, TrivialSubsystem
 from onticsim.indexing import FactorizationShape, SubsystemMask, split_index
 from onticsim.reduction import (
     bipartite_view,
@@ -14,8 +14,9 @@ from onticsim.reduction import (
     purity_from_density,
     reduced_density,
     reduced_density_bruteforce,
+    stack_purities,
 )
-from onticsim.states import state_from_ontic
+from onticsim.states import PureState, state_from_ontic
 
 
 def bs(text):
@@ -222,3 +223,61 @@ class TestLargeScaleSymmetry:
         assert purity(psi, mask) == pytest.approx(
             purity(psi, mask.complement()), abs=1e-11
         )
+
+
+def ontic_stack(shape, count, seed):
+    rng = random.Random(seed)
+    return np.stack(
+        [state_from_ontic(random_ontic(shape.total, rng=rng), shape).amps.real
+         for _ in range(count)]
+    )
+
+
+def phased(stack, seed):
+    # a per-amplitude random phase keeps each row unit-norm and makes it
+    # genuinely complex
+    rng = np.random.default_rng(seed)
+    return stack * np.exp(2j * np.pi * rng.random(stack.shape))
+
+
+class TestStackPurities:
+    @pytest.mark.parametrize("dims", [(2, 3, 2, 3, 2), (3, 2, 2), (2, 2, 3)])
+    @pytest.mark.parametrize("complex_amps", [False, True])
+    def test_matches_bruteforce_oracle(self, dims, complex_amps):
+        shape = FactorizationShape(dims)
+        stack = ontic_stack(shape, 3, seed=sum(dims))
+        if complex_amps:
+            stack = phased(stack, seed=len(dims))
+        assert stack.dtype == (np.complex128 if complex_amps else np.float64)
+        for mask in proper_masks(shape):
+            got = stack_purities(stack, mask)
+            for row, amps in enumerate(stack):
+                rho = reduced_density_bruteforce(PureState(amps, shape), mask)
+                assert abs(got[row] - purity_from_density(rho)) < 1e-12
+
+    @pytest.mark.parametrize("text", ["3x2x2", "2x3x2x3x2", "2^8"])
+    @pytest.mark.parametrize("complex_amps", [False, True])
+    def test_row_alone_equals_row_in_stack(self, text, complex_amps):
+        shape = FactorizationShape.parse(text)
+        stack = ontic_stack(shape, 5, seed=21)
+        if complex_amps:
+            stack = phased(stack, seed=22)
+        for mask in proper_masks(shape):
+            together = stack_purities(stack, mask)
+            for row in range(len(stack)):
+                alone = stack_purities(stack[row:row + 1].copy(), mask)
+                assert alone[0] == together[row]
+
+    def test_out_of_range_purity_raises(self):
+        shape = FactorizationShape((2, 3, 2))
+        stack = ontic_stack(shape, 2, seed=24) * 1.5
+        with pytest.raises(NumericViolation, match="state row 0"):
+            stack_purities(stack, SubsystemMask.from_positions(shape, [0]))
+
+    def test_rejects_bad_inputs(self):
+        shape = FactorizationShape((2, 3, 2))
+        stack = ontic_stack(shape, 2, seed=25)
+        with pytest.raises(TrivialSubsystem):
+            stack_purities(stack, SubsystemMask(0, shape))
+        with pytest.raises(ConfigError):
+            stack_purities(stack[:, :6], SubsystemMask.from_positions(shape, [0]))
