@@ -74,7 +74,6 @@ from .reduction import (
     purity_from_density,
     reduced_density,
     reduced_density_bruteforce,
-    stack_purities,
 )
 from .states import (
     DensityMatrix,

@@ -22,7 +22,7 @@ from .entropy import collision_entropy
 from .errors import ConfigError, EmptyInput, NumericViolation, SizeMismatch
 from .indexing import FactorizationShape, SubsystemMask
 from .permrep import Permutation, apply_permutation, energy_basis
-from .reduction import purity, stack_purities
+from .reduction import purity
 from .states import state_from_ontic
 
 __all__ = [
@@ -205,7 +205,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
         stack = np.stack([psi.amps for psi in states])
     purities = np.empty((len(masks), len(states)))
     for i, mask in enumerate(masks):
-        purities[i] = stack_purities(stack, mask)
+        purities[i] = purity(stack, mask)
     records = []
     for sid, column in enumerate(purities.T.tolist()):
         for mask, p in zip(masks, column):

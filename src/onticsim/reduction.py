@@ -7,12 +7,13 @@ of the amplitudes, tr(rho_A**2) = ||Psi Psi†||_F**2 = ||Psi† Psi||_F**2,
 so the Gram matrix is always formed on the smaller side.  That is what
 makes the full sweep over thousands of subsystems cheap.
 
-``stack_purities`` is the one purity kernel.  It takes the amplitudes of
-S states stacked as an (S, N) array and one mask, transposes the whole
-stack once into (S, subsystem dim, complement dim), and forms one 2-D
-Gram matrix per state.  The sweep hands it a float64 stack in the ontic
+``purity`` is the one purity kernel.  Given the amplitudes of S states
+stacked as an (S, N) array and one mask, it transposes the whole stack
+once into (S, subsystem dim, complement dim) and forms one 2-D Gram
+matrix per state.  The sweep hands it a float64 stack in the ontic
 basis, where amplitudes are real, and a complex128 stack in the energy
-basis; ``purity`` is the same kernel on a one-row stack.
+basis; a single PureState goes through the same kernel as a one-row
+stack.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "reduced_density_bruteforce",
     "purity",
     "purity_from_density",
-    "stack_purities",
 ]
 
 # slack on the purity range [1/min(d_A, d_B), 1] before a computed purity
@@ -57,7 +57,9 @@ def _bipartite_stack(stack: np.ndarray, mask: SubsystemMask) -> np.ndarray:
     amplitude stack: each state's tensor transposed to the mask's positions
     followed by the complement's, both ascending."""
     s = stack.shape[0]
-    axes = (0,) + tuple(p + 1 for p in mask.positions + mask.complement().positions)
+    # stack axis 1 + p holds factor position p
+    axes = [0] + [1 + p for p in mask.positions]
+    axes += [1 + p for p in range(mask.shape.k) if not mask.mask >> p & 1]
     tensor = stack.reshape((s,) + mask.shape.dims).transpose(axes)
     return np.ascontiguousarray(tensor).reshape(s, mask.dim, -1)
 
@@ -74,35 +76,24 @@ def bipartite_view(psi: PureState, mask: SubsystemMask) -> np.ndarray:
     return _bipartite_stack(psi.amps[np.newaxis], mask)[0]
 
 
-def stack_purities(stack: np.ndarray, mask: SubsystemMask) -> np.ndarray:
-    """tr(rho_A**2) of every row of an (S, N) amplitude stack, one Gram
-    matrix per state on the smaller side of the bipartition.
-
-    Works in the stack's own dtype: float64 for real amplitudes,
-    complex128 otherwise.  A purity outside [1/min(d_A, d_B), 1] beyond
-    ``PURITY_TOLERANCE`` raises NumericViolation naming the mask and row.
-    """
-    if stack.ndim != 2 or stack.shape[1] != mask.shape.total:
-        raise ConfigError(
-            f"amplitude stack of shape {stack.shape} does not match {mask.shape}"
-        )
-    _check_proper(mask)
+def _stack_purities(stack: np.ndarray, mask: SubsystemMask) -> np.ndarray:
+    """The kernel behind ``purity``, on an (S, N) stack already checked
+    against the mask."""
     mats = _bipartite_stack(stack, mask)
     d_a, d_b = mats.shape[1:]
+    low = 1.0 / min(d_a, d_b) - PURITY_TOLERANCE
     out = np.empty(len(mats))
     for row, m in enumerate(mats):
         # on a real array .conj() returns the array itself, so the real
         # path makes no conjugate copy
         gram = m @ m.conj().T if d_a <= d_b else m.conj().T @ m
-        out[row] = np.vdot(gram, gram).real
-    low = 1.0 / min(d_a, d_b) - PURITY_TOLERANCE
-    in_range = (out >= low) & (out <= 1.0 + PURITY_TOLERANCE)
-    if not in_range.all():
-        row = int(np.argmin(in_range))
-        raise NumericViolation(
-            f"purity {out[row]!r} of mask 0b{mask.mask:b}, state row {row}, "
-            f"outside [1/{min(d_a, d_b)}, 1]"
-        )
+        p = float(np.vdot(gram, gram).real)
+        if not low <= p <= 1.0 + PURITY_TOLERANCE:
+            raise NumericViolation(
+                f"purity {p!r} of mask 0b{mask.mask:b}, state row {row}, "
+                f"outside [1/{min(d_a, d_b)}, 1]"
+            )
+        out[row] = p
     return out
 
 
@@ -138,10 +129,27 @@ def reduced_density_bruteforce(psi: PureState, mask: SubsystemMask, cap: int = 2
     return DensityMatrix(rho)
 
 
-def purity(psi: PureState, mask: SubsystemMask) -> float:
-    """tr(rho_A**2) of one state: ``stack_purities`` on a one-row stack."""
-    _check_pair(psi, mask)
-    return float(stack_purities(psi.amps[np.newaxis], mask)[0])
+def purity(
+    psi: PureState | np.ndarray, mask: SubsystemMask
+) -> float | np.ndarray:
+    """tr(rho_A**2) through the Gram matrix on the smaller side.
+
+    ``psi`` is one PureState, giving one float, or the amplitudes of S
+    states stacked as an (S, N) array, giving the S purities in one call
+    with one transpose of the whole stack.  A stack is used in its own
+    dtype: float64 for real amplitudes, complex128 otherwise.  A purity
+    outside [1/min(d_A, d_B), 1] beyond ``PURITY_TOLERANCE`` raises
+    NumericViolation naming the mask and the stack row.
+    """
+    if isinstance(psi, PureState):
+        _check_pair(psi, mask)
+        return float(_stack_purities(psi.amps[np.newaxis], mask)[0])
+    if psi.ndim != 2 or psi.shape[1] != mask.shape.total:
+        raise ConfigError(
+            f"amplitude stack of shape {psi.shape} does not match {mask.shape}"
+        )
+    _check_proper(mask)
+    return _stack_purities(psi, mask)
 
 
 def purity_from_density(rho: DensityMatrix) -> float:

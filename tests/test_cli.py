@@ -2,7 +2,6 @@
 
 import math
 
-import onticsim.experiment
 import onticsim.reduction
 from onticsim.cli import main
 
@@ -161,9 +160,9 @@ class TestSweep:
             assert got == want
 
     def test_out_of_range_purity_exits_3(self, capsys, monkeypatch):
-        kernel = onticsim.experiment.stack_purities
+        kernel = onticsim.reduction._stack_purities
         monkeypatch.setattr(
-            onticsim.experiment, "stack_purities",
+            onticsim.reduction, "_stack_purities",
             lambda stack, mask: kernel(stack * 1.5, mask),
         )
         code, _, err = run_cli(capsys, "sweep", "--shape", "2x2x2", "--states", "2")
@@ -212,9 +211,9 @@ class TestEvolve:
         assert code == 2
 
     def test_out_of_range_purity_exits_3(self, capsys, monkeypatch):
-        kernel = onticsim.reduction.stack_purities
+        kernel = onticsim.reduction._stack_purities
         monkeypatch.setattr(
-            onticsim.reduction, "stack_purities",
+            onticsim.reduction, "_stack_purities",
             lambda stack, mask: kernel(stack * 1.5, mask),
         )
         code, _, err = run_cli(

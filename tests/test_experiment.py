@@ -164,6 +164,22 @@ class TestRunSweep:
         with pytest.raises(NumericViolation, match="imaginary"):
             run_sweep(SweepConfig(shape=FactorizationShape((2, 2)), num_states=1))
 
+    @pytest.mark.parametrize("basis", ["ontic", "energy"])
+    def test_one_stacked_purity_call_per_mask(self, monkeypatch, basis):
+        calls = []
+
+        def counted(stack, mask):
+            calls.append((stack.shape, stack.dtype))
+            return purity(stack, mask)
+
+        monkeypatch.setattr(onticsim.experiment, "purity", counted)
+        shape = FactorizationShape((2, 2, 2))
+        generator = Permutation.from_cycles(8, [(0, 3, 5)]) if basis == "energy" else None
+        run_sweep(SweepConfig(shape=shape, num_states=3, seed=4,
+                              basis=basis, generator=generator))
+        dtype = np.float64 if basis == "ontic" else np.complex128
+        assert calls == [((3, 8), dtype)] * 6
+
     def test_records_satisfy_bounds(self):
         shape = FactorizationShape((2,) * 6)
         records = run_sweep(SweepConfig(shape=shape, num_states=3, seed=11))

@@ -14,7 +14,6 @@ from onticsim.reduction import (
     purity_from_density,
     reduced_density,
     reduced_density_bruteforce,
-    stack_purities,
 )
 from onticsim.states import PureState, state_from_ontic
 
@@ -240,7 +239,7 @@ def phased(stack, seed):
     return stack * np.exp(2j * np.pi * rng.random(stack.shape))
 
 
-class TestStackPurities:
+class TestStackedPurity:
     @pytest.mark.parametrize("dims", [(2, 3, 2, 3, 2), (3, 2, 2), (2, 2, 3)])
     @pytest.mark.parametrize("complex_amps", [False, True])
     def test_matches_bruteforce_oracle(self, dims, complex_amps):
@@ -250,7 +249,7 @@ class TestStackPurities:
             stack = phased(stack, seed=len(dims))
         assert stack.dtype == (np.complex128 if complex_amps else np.float64)
         for mask in proper_masks(shape):
-            got = stack_purities(stack, mask)
+            got = purity(stack, mask)
             for row, amps in enumerate(stack):
                 rho = reduced_density_bruteforce(PureState(amps, shape), mask)
                 assert abs(got[row] - purity_from_density(rho)) < 1e-12
@@ -263,21 +262,21 @@ class TestStackPurities:
         if complex_amps:
             stack = phased(stack, seed=22)
         for mask in proper_masks(shape):
-            together = stack_purities(stack, mask)
+            together = purity(stack, mask)
             for row in range(len(stack)):
-                alone = stack_purities(stack[row:row + 1].copy(), mask)
+                alone = purity(stack[row:row + 1].copy(), mask)
                 assert alone[0] == together[row]
 
     def test_out_of_range_purity_raises(self):
         shape = FactorizationShape((2, 3, 2))
         stack = ontic_stack(shape, 2, seed=24) * 1.5
         with pytest.raises(NumericViolation, match="state row 0"):
-            stack_purities(stack, SubsystemMask.from_positions(shape, [0]))
+            purity(stack, SubsystemMask.from_positions(shape, [0]))
 
     def test_rejects_bad_inputs(self):
         shape = FactorizationShape((2, 3, 2))
         stack = ontic_stack(shape, 2, seed=25)
         with pytest.raises(TrivialSubsystem):
-            stack_purities(stack, SubsystemMask(0, shape))
+            purity(stack, SubsystemMask(0, shape))
         with pytest.raises(ConfigError):
-            stack_purities(stack[:, :6], SubsystemMask.from_positions(shape, [0]))
+            purity(stack[:, :6], SubsystemMask.from_positions(shape, [0]))
