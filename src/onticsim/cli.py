@@ -18,6 +18,7 @@ from .bitstate import OnticVector, inner_ontic, overlap_standard, popcount, rand
 from .errors import ConfigError, NumericViolation, OnticsimError
 from .experiment import (
     SweepConfig,
+    _tool_version,
     plot_data_text,
     run_cycle_census,
     run_sweep,
@@ -126,6 +127,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         shape, q, g, mask, range(args.t_max + 1), allow_wrap=args.allow_wrap
     )
     lines = [
+        f"# tool=onticsim {_tool_version()}",
         f"# shape={shape}",
         f"# ontic={q.serialize()}",
         f"# generator={g.cycle_string()}",
@@ -140,6 +142,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 def cmd_cycles(args: argparse.Namespace) -> int:
     census = run_cycle_census(args.n, args.samples, args.seed)
     lines = [
+        f"# tool=onticsim {_tool_version()}",
         f"# n={census.n}",
         f"# samples={census.samples}",
         "length,mean,std_error,expected,flagged",

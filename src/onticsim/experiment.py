@@ -19,7 +19,7 @@ import numpy as np
 
 from .bitstate import OnticVector, random_ontic
 from .entropy import collision_entropy
-from .errors import ConfigError, EmptyInput, NumericViolation, SizeMismatch
+from .errors import ConfigError, EmptyInput, SizeMismatch
 from .indexing import FactorizationShape, SubsystemMask
 from .permrep import Permutation, apply_permutation, energy_basis
 from .reduction import purity
@@ -195,14 +195,8 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
         basis = energy_basis(config.generator)
         states = [basis.transform(psi) for psi in states]
     masks = _enumerate_masks(config, rng)
-    if config.basis == "ontic":
-        # state_from_ontic builds real amplitudes, so dropping the zero
-        # imaginary part is exact and the kernel runs in float64
-        if any(psi.amps.imag.any() for psi in states):
-            raise NumericViolation("ontic-basis amplitudes have a nonzero imaginary part")
-        stack = np.stack([psi.amps.real for psi in states])
-    else:
-        stack = np.stack([psi.amps for psi in states])
+    # float64 in the ontic basis, complex128 in the energy basis
+    stack = np.stack([psi.amps for psi in states])
     purities = np.empty((len(masks), len(states)))
     for i, mask in enumerate(masks):
         purities[i] = purity(stack, mask)

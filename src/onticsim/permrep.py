@@ -247,24 +247,26 @@ class EnergyBasis:
         return np.exp(2j * np.pi * ks / ells)
 
     def transform(self, psi: PureState) -> PureState:
-        """Amplitudes in the diagonalizing basis (per-cycle DFT blocks)."""
+        """Amplitudes in the diagonalizing basis (per-cycle DFT blocks),
+        complex128 whatever the dtype of ``psi``."""
         if psi.dim != self.generator.n:
             raise SizeMismatch(
                 f"basis size {self.generator.n} != state dimension {psi.dim}"
             )
-        out = np.empty_like(psi.amps)
+        out = np.empty(psi.dim, dtype=np.complex128)
         for start, length in zip(self.offsets, self.blocks):
             pts = self.point_order[start : start + length]
             out[start : start + length] = np.fft.fft(psi.amps[pts]) / math.sqrt(length)
         return PureState(out, psi.shape)
 
     def inverse_transform(self, psi: PureState) -> PureState:
-        """Back to the original basis; exact inverse of :meth:`transform`."""
+        """Back to the original basis; exact inverse of :meth:`transform`.
+        The result is complex128."""
         if psi.dim != self.generator.n:
             raise SizeMismatch(
                 f"basis size {self.generator.n} != state dimension {psi.dim}"
             )
-        out = np.empty_like(psi.amps)
+        out = np.empty(psi.dim, dtype=np.complex128)
         for start, length in zip(self.offsets, self.blocks):
             pts = self.point_order[start : start + length]
             out[pts] = np.fft.ifft(psi.amps[start : start + length]) * math.sqrt(length)

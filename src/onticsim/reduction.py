@@ -10,10 +10,10 @@ makes the full sweep over thousands of subsystems cheap.
 ``purity`` is the one purity kernel.  Given the amplitudes of S states
 stacked as an (S, N) array and one mask, it transposes the whole stack
 once into (S, subsystem dim, complement dim) and forms one 2-D Gram
-matrix per state.  The sweep hands it a float64 stack in the ontic
-basis, where amplitudes are real, and a complex128 stack in the energy
-basis; a single PureState goes through the same kernel as a one-row
-stack.
+matrix per state.  It runs in the dtype of the amplitudes: states are
+real in the ontic basis, so the sweep and ``evolve`` run in float64
+there, and complex128 only after a change to the energy basis.  A single
+PureState goes through the same kernel as a one-row stack.
 """
 
 from __future__ import annotations

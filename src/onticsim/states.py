@@ -38,7 +38,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PureState:
-    """Unit-norm complex amplitude vector over a factorization shape.
+    """Unit-norm real or complex amplitude vector over a factorization shape.
+
+    The amplitudes are stored as float64 when the input array is real
+    (integer, float32 or float64) and as complex128 when it is complex,
+    whatever its values: a complex input with zero imaginary parts stays
+    complex128.  States built from subsets are therefore real; only a
+    change to a permutation's energy basis makes them complex.
 
     States constructed in the original (ontic) basis additionally have
     coordinate sum ~ 0: they live in the orthogonal complement of the
@@ -50,7 +56,8 @@ class PureState:
     shape: FactorizationShape
 
     def __post_init__(self) -> None:
-        arr = np.array(self.amps, dtype=np.complex128, copy=True)
+        dtype = np.float64 if np.isrealobj(self.amps) else np.complex128
+        arr = np.array(self.amps, dtype=dtype, copy=True)
         if arr.ndim != 1 or arr.size != self.shape.total:
             raise ConfigError(
                 f"amplitude vector must have length {self.shape.total}, got {arr.shape}"
@@ -125,9 +132,11 @@ class DensityMatrix:
 def project_standard(values) -> np.ndarray:
     """Remove the uniform component: v - mean(v).
 
-    Idempotent; annihilates the all-ones vector.
+    Idempotent; annihilates the all-ones vector.  Computed in at least
+    double precision: real input gives float64, complex input complex128.
     """
-    arr = np.asarray(values, dtype=np.complex128)
+    arr = np.asarray(values)
+    arr = arr.astype(np.result_type(arr.dtype, np.float64))
     return arr - arr.mean()
 
 
@@ -145,7 +154,7 @@ def state_from_ontic(q: OnticVector, shape: FactorizationShape) -> PureState:
     density = k / q.n
     scale = math.sqrt(k * (q.n - k) / q.n)
     amps = (q.to_array().astype(np.float64) - density) / scale
-    return PureState(amps.astype(np.complex128), shape)
+    return PureState(amps, shape)
 
 
 def state_from_natural(vector, shape: FactorizationShape) -> PureState:

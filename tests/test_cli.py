@@ -3,6 +3,7 @@
 import math
 
 import onticsim.reduction
+from onticsim import __version__
 from onticsim.cli import main
 
 
@@ -53,6 +54,10 @@ class TestCycles:
         assert "length,mean,std_error,expected,flagged" in lines
         data = [ln for ln in lines if ln and not ln.startswith(("#", "length"))]
         assert len(data) == 6
+
+    def test_version_line(self, capsys):
+        _, out, _ = run_cli(capsys, "cycles", "--n", "4", "--samples", "10")
+        assert out.split("\n")[0] == f"# tool=onticsim {__version__}"
 
 
 class TestSweep:
@@ -201,6 +206,18 @@ class TestEvolve:
         data = [ln for ln in lines if ln and not ln.startswith(("#", "t,"))]
         assert len(data) == 7
         assert data[0].startswith("0,")
+
+    def test_version_line_and_byte_identical_reruns(self, tmp_path, capsys):
+        args = [
+            "evolve", "--shape", "2x3x2", "--generator", "(0 5 7 11)(1 2 3)",
+            "--mask", "1,2", "--seed", "6", "--t-max", "11",
+        ]
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        assert main(args + ["--out", str(a)]) == 0
+        assert main(args + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert a.read_text().split("\n")[0] == f"# tool=onticsim {__version__}"
 
     def test_wrap_guard_exit_code(self, capsys):
         code, _, _ = run_cli(

@@ -9,7 +9,7 @@ import pytest
 import onticsim.experiment
 from onticsim.bitstate import OnticVector, popcount, random_ontic
 from onticsim.entropy import collision_entropy
-from onticsim.errors import ConfigError, EmptyInput, NumericViolation
+from onticsim.errors import ConfigError, EmptyInput
 from onticsim.experiment import (
     SweepConfig,
     plot_data_text,
@@ -154,15 +154,29 @@ class TestRunSweep:
         for a, b in zip(ontic, energy):
             assert a.purity == pytest.approx(b.purity, abs=1e-12)
 
-    def test_complex_ontic_amplitudes_rejected(self, monkeypatch):
-        # the ontic sweep drops the imaginary part only after checking it
-        # is zero; a unit phase keeps the norm but breaks that premise
+    def test_complex_ontic_amplitudes_kept_complex(self, monkeypatch):
+        # a unit phase keeps the norm and every purity; the sweep hands the
+        # complex amplitudes to the kernel as they are
+        config = SweepConfig(shape=FactorizationShape((2, 2, 2)), num_states=3, seed=4)
+        real = run_sweep(config)
+        dtypes = []
+
+        def spy(stack, mask):
+            dtypes.append(stack.dtype)
+            return purity(stack, mask)
+
         def rotated(q, shape):
             return PureState(1j * state_from_ontic(q, shape).amps, shape)
 
+        monkeypatch.setattr(onticsim.experiment, "purity", spy)
         monkeypatch.setattr(onticsim.experiment, "state_from_ontic", rotated)
-        with pytest.raises(NumericViolation, match="imaginary"):
-            run_sweep(SweepConfig(shape=FactorizationShape((2, 2)), num_states=1))
+        records = run_sweep(config)
+        assert dtypes == [np.complex128] * 6
+        assert [(r.state_id, r.subset_mask) for r in records] == [
+            (r.state_id, r.subset_mask) for r in real
+        ]
+        for a, b in zip(real, records):
+            assert abs(a.purity - b.purity) < 1e-12
 
     @pytest.mark.parametrize("basis", ["ontic", "energy"])
     def test_one_stacked_purity_call_per_mask(self, monkeypatch, basis):
@@ -307,6 +321,31 @@ class TestTimeSeries:
                     purity(state_from_ontic(q_t, shape), mask)
                 )
                 assert s2 == pytest.approx(expected, abs=1e-12)
+
+    def test_ontic_start_runs_in_float64(self, monkeypatch):
+        shape = FactorizationShape((2, 3, 2, 2))
+        q = random_ontic(24, seed=21)
+        g = random_permutation(24, seed=22)
+        mask = SubsystemMask.from_positions(shape, [0, 1])
+        dtypes = []
+
+        def spy(psi, mask):
+            dtypes.append(psi.amps.dtype)
+            return purity(psi, mask)
+
+        def as_complex(q, shape):
+            return PureState(state_from_ontic(q, shape).amps.astype(np.complex128), shape)
+
+        monkeypatch.setattr(onticsim.experiment, "purity", spy)
+        real = run_time_series(shape, q, g, mask, range(g.order))
+        assert dtypes == [np.float64] * g.order
+        dtypes.clear()
+        monkeypatch.setattr(onticsim.experiment, "state_from_ontic", as_complex)
+        cast = run_time_series(shape, q, g, mask, range(g.order))
+        assert dtypes == [np.complex128] * g.order
+        for (t, a), (u, b) in zip(real, cast):
+            assert t == u
+            assert abs(a - b) < 1e-12
 
 
 class TestCycleCensus:

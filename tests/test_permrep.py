@@ -18,7 +18,7 @@ from onticsim.permrep import (
     permutation_matrix,
     random_permutation,
 )
-from onticsim.states import density_full, state_from_ontic
+from onticsim.states import PureState, density_full, state_from_ontic
 
 
 def flat_shape(n):
@@ -240,6 +240,35 @@ class TestEnergyBasis:
             assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-12
             back = basis.inverse_transform(out)
             np.testing.assert_allclose(back.amps, psi.amps, atol=1e-13)
+
+    def test_transform_of_real_state_is_exactly_the_complex_transform(self):
+        # the FFT of float64 amplitudes equals, bit for bit, the FFT of the
+        # same amplitudes cast to complex128
+        rng = random.Random(18)
+        cases = [Permutation.from_cycles(n, [range(n)]) for n in (2, 3, 7, 64, 97)]
+        cases += [random_permutation(n, seed=n) for n in (2, 12, 40, 128)]
+        for g in cases:
+            basis = energy_basis(g)
+            psi = state_from_ontic(random_ontic(g.n, rng=rng), flat_shape(g.n))
+            assert psi.amps.dtype == np.float64
+            out = basis.transform(psi)
+            cast = basis.transform(PureState(psi.amps.astype(np.complex128), psi.shape))
+            assert out.amps.dtype == np.complex128
+            assert np.array_equal(out.amps, cast.amps)
+
+    def test_inverse_transform_round_trips(self):
+        rng = random.Random(19)
+        for seed in range(4):
+            g = random_permutation(36, seed=seed)
+            basis = energy_basis(g)
+            psi = state_from_ontic(random_ontic(36, rng=rng), flat_shape(36))
+            back = basis.inverse_transform(basis.transform(psi))
+            assert back.amps.dtype == np.complex128
+            np.testing.assert_allclose(back.amps, psi.amps, atol=1e-13)
+            # and from the other side, starting from real energy-basis
+            # amplitudes
+            forth = basis.transform(basis.inverse_transform(psi))
+            np.testing.assert_allclose(forth.amps, psi.amps, atol=1e-13)
 
     def test_density_conjugation(self):
         # rank-one check of rho -> F rho F^{-1} at small size

@@ -205,6 +205,19 @@ class TestPurity:
                     slow = purity_from_density(reduced_density(psi, mask))
                     assert abs(fast - slow) < 1e-12
 
+    def test_complex_state_matches_sum_formula(self):
+        # sweeps and evolve from subsets now run in float64; this keeps the
+        # single-state complex path checked against the density-matrix sum
+        for dims in [(2, 2, 2), (2, 3, 2), (3, 2, 2, 2)]:
+            shape = FactorizationShape(dims)
+            stack = phased(ontic_stack(shape, 4, seed=len(dims) + 40), seed=41)
+            for amps in stack:
+                psi = PureState(amps, shape)
+                assert psi.amps.dtype == np.complex128
+                for mask in proper_masks(shape):
+                    slow = purity_from_density(reduced_density(psi, mask))
+                    assert abs(purity(psi, mask) - slow) < 1e-12
+
     def test_trivial_rejected(self):
         shape = FactorizationShape((2, 2))
         psi = state_from_ontic(bs("1001"), shape)
@@ -227,7 +240,7 @@ class TestLargeScaleSymmetry:
 def ontic_stack(shape, count, seed):
     rng = random.Random(seed)
     return np.stack(
-        [state_from_ontic(random_ontic(shape.total, rng=rng), shape).amps.real
+        [state_from_ontic(random_ontic(shape.total, rng=rng), shape).amps
          for _ in range(count)]
     )
 

@@ -169,6 +169,48 @@ class TestDensityFull:
         assert density_full(psi, cap=512).dim == 512
 
 
+class TestDtypeRule:
+    # the stored dtype follows the input's dtype, never its values
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64])
+    def test_real_input_stored_as_float64(self, dtype):
+        psi = PureState(np.array([0, 1, 0, 0], dtype=dtype), flat_shape(4))
+        assert psi.amps.dtype == np.float64
+        assert psi.amps.tolist() == [0.0, 1.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("amps", [
+        np.array([0, 1, 0, 0], dtype=np.complex128),
+        np.array([0, 1, 0, 0], dtype=np.complex64),
+        np.array([0.5, 0.5j, -0.5, -0.5j]),
+    ])
+    def test_complex_input_stored_as_complex128(self, amps):
+        psi = PureState(amps, flat_shape(4))
+        assert psi.amps.dtype == np.complex128
+        np.testing.assert_array_equal(psi.amps, amps)
+
+    def test_subset_states_are_float64(self):
+        shape = FactorizationShape((2, 3, 2))
+        q = random_ontic(12, seed=30)
+        ontic = state_from_ontic(q, shape)
+        assert ontic.amps.dtype == np.float64
+        for entries in (q.to_array(), q.to_array().tolist(), NaturalVector(q.to_array())):
+            natural = state_from_natural(entries, shape)
+            assert natural.amps.dtype == np.float64
+            np.testing.assert_allclose(natural.amps, ontic.amps, atol=1e-15)
+
+    def test_single_precision_input_projected_in_double(self):
+        # the projection runs in at least double precision, so float32
+        # entries still give a state normalized to 1e-12
+        shape = FactorizationShape((2, 3, 2))
+        q = random_ontic(12, seed=31)
+        expected = state_from_ontic(q, shape).amps
+        for dtype in (np.float32, np.complex64):
+            psi = state_from_natural(q.to_array().astype(dtype), shape)
+            np.testing.assert_allclose(psi.amps, expected, atol=1e-15)
+        assert project_standard(np.ones(3, dtype=np.float32)).dtype == np.float64
+        assert project_standard(np.ones(3, dtype=np.complex64)).dtype == np.complex128
+
+
 class TestTypes:
     def test_pure_state_validates_norm(self):
         with pytest.raises(NumericViolation):
