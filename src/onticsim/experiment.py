@@ -154,6 +154,19 @@ def _resolve_vectors(config: SweepConfig, rng: random.Random) -> tuple[OnticVect
     )
 
 
+def _mask_of_rank(k: int, a: int, rank: int) -> int:
+    """The rank-th smallest (from 0) k-bit value with popcount a."""
+    value = 0
+    for p in range(k - 1, -1, -1):
+        # C(p, a) values keep bit p clear and put all a bits below it
+        below = math.comb(p, a)
+        if rank >= below:
+            value |= 1 << p
+            rank -= below
+            a -= 1
+    return value
+
+
 def _enumerate_masks(config: SweepConfig, rng: random.Random) -> list[SubsystemMask]:
     shape = config.shape
     sizes = (
@@ -163,12 +176,17 @@ def _enumerate_masks(config: SweepConfig, rng: random.Random) -> list[SubsystemM
     )
     chosen: list[SubsystemMask] = []
     for a in sizes:
-        masks = sorted(
-            sum(1 << p for p in combo)
-            for combo in itertools.combinations(range(shape.k), a)
-        )
-        if config.samples_per_size is not None and config.samples_per_size < len(masks):
-            masks = sorted(rng.sample(masks, config.samples_per_size))
+        count = math.comb(shape.k, a)
+        if config.samples_per_size is not None and config.samples_per_size < count:
+            # the same draw as sampling from the sorted list of all C(K, a)
+            # masks, without building it
+            ranks = sorted(rng.sample(range(count), config.samples_per_size))
+            masks = [_mask_of_rank(shape.k, a, r) for r in ranks]
+        else:
+            masks = sorted(
+                sum(1 << p for p in combo)
+                for combo in itertools.combinations(range(shape.k), a)
+            )
         for value in masks:
             mask = SubsystemMask(value, shape)
             if min(mask.dim, shape.total // mask.dim) > config.gram_dim_cap:
@@ -198,8 +216,18 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     # float64 in the ontic basis, complex128 in the energy basis
     stack = np.stack([psi.amps for psi in states])
     purities = np.empty((len(masks), len(states)))
+    # a pure state gives a subsystem and its complement the same Schmidt
+    # coefficients, so the mask enumerated first of a pair is computed and
+    # its complement copies that row
+    full = (1 << config.shape.k) - 1
+    computed: dict[int, int] = {}
     for i, mask in enumerate(masks):
-        purities[i] = purity(stack, mask)
+        row = computed.get(full ^ mask.mask)
+        if row is None:
+            computed[mask.mask] = i
+            purities[i] = purity(stack, mask)
+        else:
+            purities[i] = purities[row]
     records = []
     for sid, column in enumerate(purities.T.tolist()):
         for mask, p in zip(masks, column):

@@ -1,5 +1,6 @@
 """Tests for the sweep driver, time series, and cycle census."""
 
+import itertools
 import math
 import random
 
@@ -12,6 +13,9 @@ from onticsim.entropy import collision_entropy
 from onticsim.errors import ConfigError, EmptyInput
 from onticsim.experiment import (
     SweepConfig,
+    SweepRecord,
+    _enumerate_masks,
+    _mask_of_rank,
     plot_data_text,
     run_cycle_census,
     run_sweep,
@@ -20,13 +24,64 @@ from onticsim.experiment import (
     sweep_csv,
 )
 from onticsim.indexing import FactorizationShape, SubsystemMask
-from onticsim.permrep import Permutation, evolve_ontic, random_permutation
+from onticsim.permrep import Permutation, energy_basis, evolve_ontic, random_permutation
 from onticsim.reduction import purity
 from onticsim.states import PureState, state_from_ontic
 
 
 def bs(text):
     return OnticVector.from_bitstring(text)
+
+
+def sweep_stack(config):
+    """The (S, N) amplitude stack a seeded sweep draws, rebuilt from its seed
+    with the public state constructors."""
+    rng = random.Random(config.seed)
+    states = [
+        state_from_ontic(
+            random_ontic(config.shape.total, rng=rng, weight=config.state_weight()),
+            config.shape,
+        )
+        for _ in range(config.num_states)
+    ]
+    if config.basis == "energy":
+        basis = energy_basis(config.generator)
+        states = [basis.transform(psi) for psi in states]
+    return np.stack([psi.amps for psi in states])
+
+
+def enumeration_order(mask):
+    """The sweep enumerates masks by (size, value)."""
+    return bin(mask).count("1"), mask
+
+
+def copied_sides(records, k):
+    """(mask, complement) for every complement pair in the records, with the
+    complement the side the sweep enumerates second and so copies."""
+    full = (1 << k) - 1
+    masks = {r.subset_mask for r in records}
+    return sorted(
+        (m, full ^ m)
+        for m in masks
+        if full ^ m in masks and enumeration_order(m) < enumeration_order(full ^ m)
+    )
+
+
+def assert_complements_match_own_layout(records, config, tol):
+    """Both records of each complement pair against the purity the test
+    computes on the copied side's own layout, so the Schmidt symmetry is
+    checked between two separately computed Gram products."""
+    stack = sweep_stack(config)
+    s2 = {(r.state_id, r.subset_mask): r.s2_bits for r in records}
+    pairs = copied_sides(records, config.shape.k)
+    assert pairs
+    for mask, comp in pairs:
+        direct = purity(stack, SubsystemMask(comp, config.shape))
+        for sid, p in enumerate(direct.tolist()):
+            own = collision_entropy(p)
+            assert abs(s2[(sid, mask)] - own) < tol
+            assert abs(s2[(sid, comp)] - own) < tol
+    return pairs
 
 
 class TestSweepConfig:
@@ -84,11 +139,10 @@ class TestRunSweep:
 
     def test_complement_pairs_match(self):
         shape = FactorizationShape((2, 3, 2))
-        records = run_sweep(SweepConfig(shape=shape, num_states=4, seed=2))
-        table = {(r.state_id, r.subset_mask): r.s2_bits for r in records}
-        full = (1 << 3) - 1
-        for (sid, mask), s2 in table.items():
-            assert abs(s2 - table[(sid, full ^ mask)]) < 1e-11
+        config = SweepConfig(shape=shape, num_states=4, seed=2)
+        records = run_sweep(config)
+        pairs = assert_complements_match_own_layout(records, config, 1e-11)
+        assert len(pairs) == 3
 
     def test_record_ordering(self):
         shape = FactorizationShape((2, 2, 2))
@@ -120,6 +174,36 @@ class TestRunSweep:
             assert len(masks) == min(3, math.comb(8, size))
         assert run_sweep(config) == records
 
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_sampled_draw_matches_materialized_sample(self, seed):
+        # reference: sample from the sorted list of all C(K, a) masks
+        for k in range(2, 13):
+            shape = FactorizationShape((2,) * k)
+            for s in (1, 3, 50):
+                config = SweepConfig(shape=shape, seed=seed, samples_per_size=s)
+                rng, ref_rng = random.Random(seed), random.Random(seed)
+                drawn = [m.mask for m in _enumerate_masks(config, rng)]
+                expected = []
+                for a in range(1, k):
+                    masks = sorted(
+                        sum(1 << p for p in combo)
+                        for combo in itertools.combinations(range(k), a)
+                    )
+                    if s < len(masks):
+                        masks = sorted(ref_rng.sample(masks, s))
+                    expected += masks
+                assert drawn == expected
+                assert rng.getstate() == ref_rng.getstate()
+
+    def test_mask_of_rank_enumerates_in_value_order(self):
+        for k in range(1, 11):
+            for a in range(k + 1):
+                masks = sorted(
+                    sum(1 << p for p in combo)
+                    for combo in itertools.combinations(range(k), a)
+                )
+                assert [_mask_of_rank(k, a, r) for r in range(len(masks))] == masks
+
     def test_density_controls_popcount(self):
         shape = FactorizationShape((2,) * 6)
         config = SweepConfig(shape=shape, num_states=5, seed=8, density=0.25)
@@ -131,13 +215,12 @@ class TestRunSweep:
     def test_energy_basis_keeps_schmidt_symmetry(self):
         shape = FactorizationShape((2,) * 5)
         g = random_permutation(32, seed=9)
-        records = run_sweep(
-            SweepConfig(shape=shape, num_states=3, seed=9, basis="energy", generator=g)
+        config = SweepConfig(
+            shape=shape, num_states=3, seed=9, basis="energy", generator=g
         )
-        table = {(r.state_id, r.subset_mask): r.s2_bits for r in records}
-        full = (1 << 5) - 1
-        for (sid, mask), s2 in table.items():
-            assert abs(s2 - table[(sid, full ^ mask)]) < 1e-11
+        records = run_sweep(config)
+        pairs = assert_complements_match_own_layout(records, config, 1e-11)
+        assert len(pairs) == 15
 
     def test_identity_generator_energy_equals_ontic(self):
         shape = FactorizationShape((2,) * 4)
@@ -171,7 +254,7 @@ class TestRunSweep:
         monkeypatch.setattr(onticsim.experiment, "purity", spy)
         monkeypatch.setattr(onticsim.experiment, "state_from_ontic", rotated)
         records = run_sweep(config)
-        assert dtypes == [np.complex128] * 6
+        assert dtypes == [np.complex128] * 3
         assert [(r.state_id, r.subset_mask) for r in records] == [
             (r.state_id, r.subset_mask) for r in real
         ]
@@ -179,7 +262,7 @@ class TestRunSweep:
             assert abs(a.purity - b.purity) < 1e-12
 
     @pytest.mark.parametrize("basis", ["ontic", "energy"])
-    def test_one_stacked_purity_call_per_mask(self, monkeypatch, basis):
+    def test_one_stacked_purity_call_per_complement_pair(self, monkeypatch, basis):
         calls = []
 
         def counted(stack, mask):
@@ -192,7 +275,68 @@ class TestRunSweep:
         run_sweep(SweepConfig(shape=shape, num_states=3, seed=4,
                               basis=basis, generator=generator))
         dtype = np.float64 if basis == "ontic" else np.complex128
-        assert calls == [((3, 8), dtype)] * 6
+        assert calls == [((3, 8), dtype)] * 3
+
+    @pytest.mark.parametrize(
+        "dims, sizes, expected",
+        [
+            ((2,) * 4, None, [1, 2, 4, 8, 3, 5, 6]),
+            # no size-2 partner is chosen, so every singleton is computed
+            ((2,) * 3, (1,), [1, 2, 4]),
+            ((2,) * 3, (1, 2), [1, 2, 4]),
+        ],
+    )
+    def test_kernel_runs_on_first_mask_of_each_pair(
+        self, monkeypatch, dims, sizes, expected
+    ):
+        calls = []
+
+        def counted(stack, mask):
+            calls.append(mask.mask)
+            return purity(stack, mask)
+
+        monkeypatch.setattr(onticsim.experiment, "purity", counted)
+        shape = FactorizationShape(dims)
+        records = run_sweep(
+            SweepConfig(shape=shape, num_states=2, seed=5, subset_sizes=sizes)
+        )
+        assert calls == expected
+        assert len(records) == 2 * len({r.subset_mask for r in records})
+
+    def test_sampled_sweep_computes_each_drawn_pair_once(self, monkeypatch):
+        calls = []
+
+        def counted(stack, mask):
+            calls.append(mask.mask)
+            return purity(stack, mask)
+
+        monkeypatch.setattr(onticsim.experiment, "purity", counted)
+        shape = FactorizationShape((2,) * 6)
+        config = SweepConfig(shape=shape, num_states=2, seed=3, samples_per_size=4)
+        records = run_sweep(config)
+        drawn = sorted({r.subset_mask for r in records}, key=enumeration_order)
+        full = (1 << 6) - 1
+        unpaired = [m for m in drawn if full ^ m not in drawn]
+        pairs = copied_sides(records, 6)
+        # the draw has both kinds: masks with and without a drawn partner
+        assert unpaired and pairs
+        assert calls == [m for i, m in enumerate(drawn) if full ^ m not in drawn[:i]]
+        assert len(calls) == len(unpaired) + len(pairs)
+
+    @pytest.mark.parametrize("dims", [(2, 3, 2, 3, 2), (2,) * 6])
+    @pytest.mark.parametrize("basis", ["ontic", "energy"])
+    def test_rows_match_direct_purity(self, dims, basis):
+        shape = FactorizationShape(dims)
+        generator = random_permutation(shape.total, seed=17) if basis == "energy" else None
+        config = SweepConfig(shape=shape, num_states=3, seed=17, basis=basis,
+                             generator=generator)
+        records = run_sweep(config)
+        stack = sweep_stack(config)
+        assert len(records) == 3 * ((1 << shape.k) - 2)
+        for r in records:
+            row = stack[r.state_id:r.state_id + 1]
+            direct = purity(row, SubsystemMask(r.subset_mask, shape))
+            assert abs(r.purity - direct[0]) < 1e-12
 
     def test_records_satisfy_bounds(self):
         shape = FactorizationShape((2,) * 6)
@@ -229,9 +373,24 @@ class TestSummaries:
 
     def test_asymmetry_reported(self):
         shape = FactorizationShape((2, 2, 2))
-        records = run_sweep(SweepConfig(shape=shape, num_states=2, seed=13))
-        summary = summarize_by_size(records, k=3)
-        assert summary.max_complement_asymmetry < 1e-12
+        config = SweepConfig(shape=shape, num_states=2, seed=13)
+        records = run_sweep(config)
+        assert summarize_by_size(records, k=3).max_complement_asymmetry < 1e-12
+        # the copied side replaced by the purity on its own layout: the
+        # summary then compares two separately computed sides
+        stack = sweep_stack(config)
+        own = {}
+        for _, comp in copied_sides(records, 3):
+            for sid, p in enumerate(purity(stack, SubsystemMask(comp, shape)).tolist()):
+                own[(sid, comp)] = p
+        separate = []
+        for r in records:
+            p = own.get((r.state_id, r.subset_mask), r.purity)
+            separate.append(SweepRecord(
+                r.state_id, r.subset_mask, r.subset_size, p, collision_entropy(p)
+            ))
+        assert len(own) == 2 * 3
+        assert summarize_by_size(separate, k=3).max_complement_asymmetry < 1e-12
 
 
 class TestCsvOutput:
