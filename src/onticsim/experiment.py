@@ -9,7 +9,6 @@ fixed configuration.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from collections import defaultdict
@@ -177,17 +176,13 @@ def _enumerate_masks(config: SweepConfig, rng: random.Random) -> list[SubsystemM
     chosen: list[SubsystemMask] = []
     for a in sizes:
         count = math.comb(shape.k, a)
+        ranks = range(count)
         if config.samples_per_size is not None and config.samples_per_size < count:
             # the same draw as sampling from the sorted list of all C(K, a)
             # masks, without building it
-            ranks = sorted(rng.sample(range(count), config.samples_per_size))
-            masks = [_mask_of_rank(shape.k, a, r) for r in ranks]
-        else:
-            masks = sorted(
-                sum(1 << p for p in combo)
-                for combo in itertools.combinations(range(shape.k), a)
-            )
-        for value in masks:
+            ranks = sorted(rng.sample(ranks, config.samples_per_size))
+        for rank in ranks:
+            value = _mask_of_rank(shape.k, a, rank)
             mask = SubsystemMask(value, shape)
             if min(mask.dim, shape.total // mask.dim) > config.gram_dim_cap:
                 raise ConfigError(

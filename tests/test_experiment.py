@@ -176,10 +176,11 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("seed", [0, 7, 2024])
     def test_sampled_draw_matches_materialized_sample(self, seed):
-        # reference: sample from the sorted list of all C(K, a) masks
+        # reference: sample from the sorted list of all C(K, a) masks;
+        # s = None is the full enumeration
         for k in range(2, 13):
             shape = FactorizationShape((2,) * k)
-            for s in (1, 3, 50):
+            for s in (None, 1, 3, 50):
                 config = SweepConfig(shape=shape, seed=seed, samples_per_size=s)
                 rng, ref_rng = random.Random(seed), random.Random(seed)
                 drawn = [m.mask for m in _enumerate_masks(config, rng)]
@@ -189,7 +190,7 @@ class TestRunSweep:
                         sum(1 << p for p in combo)
                         for combo in itertools.combinations(range(k), a)
                     )
-                    if s < len(masks):
+                    if s is not None and s < len(masks):
                         masks = sorted(ref_rng.sample(masks, s))
                     expected += masks
                 assert drawn == expected
