@@ -1,7 +1,7 @@
 """Finite-dimensional quantum states from bit vectors: Hilbert-space
 factorization, subsystem entropies, and permutation evolutions."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .bitstate import (
     OnticVector,
@@ -39,14 +39,13 @@ from .experiment import (
     CycleCountStat,
     SizeSummary,
     SweepConfig,
-    SweepRecord,
+    SweepResult,
     SweepSummary,
     run_cycle_census,
     run_sweep,
     run_time_series,
     summarize_by_size,
     sweep_csv,
-    write_sweep_csv,
 )
 from .indexing import (
     FactorizationShape,

@@ -97,12 +97,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         density=args.density,
         ontic_vectors=vectors,
     )
-    records = run_sweep(config)
-    _write_output(args.out, sweep_csv(records, config))
+    result = run_sweep(config)
+    _write_output(args.out, sweep_csv(result, config))
     if args.plot_data:
-        _write_output(args.plot_data, plot_data_text(records, config))
+        _write_output(args.plot_data, plot_data_text(result, config))
     if args.summary:
-        summary = summarize_by_size(records, k=shape.k)
+        summary = summarize_by_size(result, k=shape.k)
         print(f"# max_complement_asymmetry={summary.max_complement_asymmetry:.3e}",
               file=sys.stderr)
         print("size count min mean max std state_mean_std", file=sys.stderr)

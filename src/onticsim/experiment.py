@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ from .states import state_from_ontic
 
 __all__ = [
     "SweepConfig",
-    "SweepRecord",
+    "SweepResult",
     "SizeSummary",
     "SweepSummary",
     "CycleCountStat",
@@ -36,11 +35,12 @@ __all__ = [
     "run_time_series",
     "run_cycle_census",
     "sweep_csv",
-    "write_sweep_csv",
     "plot_data_text",
 ]
 
 CSV_HEADER = "state_id,subset_mask,subset_size,purity,s2_bits"
+# largest Gram matrix side a sweep mask may need
+GRAM_DIM_CAP = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,6 @@ class SweepConfig:
     samples_per_size: int | None = None
     density: float | None = None
     ontic_vectors: tuple[OnticVector, ...] | None = None
-    gram_dim_cap: int = 1 << 13
 
     def validate(self) -> None:
         shape = self.shape
@@ -132,15 +131,23 @@ class SweepConfig:
         return "uniform-nontrivial"
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One subsystem of one state: its purity and collision entropy."""
+@dataclass(frozen=True, eq=False)
+class SweepResult:
+    """Every purity of a sweep: row ``sid`` is state ``sid``, column ``j``
+    the ``j``-th mask in enumeration order (by size, then value).
 
-    state_id: int
-    subset_mask: int
-    subset_size: int
-    purity: float
-    s2_bits: float
+    ``masks`` and ``sizes`` are the ``(M,)`` mask values and popcounts;
+    ``purity`` and ``s2_bits`` are ``(S, M)``.  The arrays are read-only.
+    """
+
+    masks: np.ndarray
+    sizes: np.ndarray
+    purity: np.ndarray
+    s2_bits: np.ndarray
+
+    def __post_init__(self) -> None:
+        for values in (self.masks, self.sizes, self.purity, self.s2_bits):
+            values.setflags(write=False)
 
 
 def _resolve_vectors(config: SweepConfig, rng: random.Random) -> tuple[OnticVector, ...]:
@@ -184,21 +191,20 @@ def _enumerate_masks(config: SweepConfig, rng: random.Random) -> list[SubsystemM
         for rank in ranks:
             value = _mask_of_rank(shape.k, a, rank)
             mask = SubsystemMask(value, shape)
-            if min(mask.dim, shape.total // mask.dim) > config.gram_dim_cap:
+            if min(mask.dim, shape.total // mask.dim) > GRAM_DIM_CAP:
                 raise ConfigError(
                     f"mask 0b{value:b} needs a {min(mask.dim, shape.total // mask.dim)}-dim "
-                    f"Gram matrix, over the budget {config.gram_dim_cap}"
+                    f"Gram matrix, over the budget {GRAM_DIM_CAP}"
                 )
             chosen.append(mask)
     return chosen
 
 
-def run_sweep(config: SweepConfig) -> list[SweepRecord]:
+def run_sweep(config: SweepConfig) -> SweepResult:
     """Collision entropy of every configured (state, subsystem) pair.
 
-    Records come back sorted by (state_id, subset size, mask value), the
-    order in which states and masks are enumerated, and are deterministic
-    for a fixed configuration.
+    States and masks come back in the order they are enumerated, and the
+    result is deterministic for a fixed configuration.
     """
     config.validate()
     rng = random.Random(config.seed)
@@ -210,29 +216,32 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     masks = _enumerate_masks(config, rng)
     # float64 in the ontic basis, complex128 in the energy basis
     stack = np.stack([psi.amps for psi in states])
-    purities = np.empty((len(masks), len(states)))
+    purities = np.empty((len(states), len(masks)))
     # a pure state gives a subsystem and its complement the same Schmidt
     # coefficients, so the mask enumerated first of a pair is computed and
-    # its complement copies that row
+    # its complement copies that column
     full = (1 << config.shape.k) - 1
     computed: dict[int, int] = {}
     for i, mask in enumerate(masks):
-        row = computed.get(full ^ mask.mask)
-        if row is None:
+        column = computed.get(full ^ mask.mask)
+        if column is None:
             computed[mask.mask] = i
-            purities[i] = purity(stack, mask)
+            purities[:, i] = purity(stack, mask)
         else:
-            purities[i] = purities[row]
-    records = []
-    for sid, column in enumerate(purities.T.tolist()):
-        for mask, p in zip(masks, column):
-            records.append(SweepRecord(sid, mask.mask, mask.size, p, collision_entropy(p)))
-    return records
+            purities[:, i] = purities[:, column]
+    # per value: np.log2 would differ from math.log2 in the last bit of a few
+    s2 = np.array([collision_entropy(p) for p in purities.ravel().tolist()])
+    return SweepResult(
+        masks=np.array([mask.mask for mask in masks]),
+        sizes=np.array([mask.size for mask in masks]),
+        purity=purities,
+        s2_bits=s2.reshape(purities.shape),
+    )
 
 
 @dataclass(frozen=True)
 class SizeSummary:
-    """Statistics of s2_bits over all records of one subsystem size."""
+    """Statistics of s2_bits over every (state, mask) of one subsystem size."""
 
     size: int
     count: int
@@ -249,34 +258,31 @@ class SweepSummary:
     max_complement_asymmetry: float
 
 
-def summarize_by_size(records, k: int) -> SweepSummary:
+def summarize_by_size(result: SweepResult, k: int) -> SweepSummary:
     """Per-size statistics plus the largest entropy difference between any
     subsystem and its complement.
 
     ``k`` is the number of factor positions, needed to pair complements.
     """
-    records = list(records)
-    if not records:
-        raise EmptyInput("no sweep records to summarize")
+    s2 = result.s2_bits
+    if s2.size == 0:
+        raise EmptyInput("no sweep results to summarize")
     full = (1 << k) - 1
-
-    by_key = {(r.state_id, r.subset_mask): r.s2_bits for r in records}
+    column = {m: j for j, m in enumerate(result.masks.tolist())}
+    pairs = [(j, column[full ^ m]) for m, j in column.items() if full ^ m in column]
     asym = 0.0
-    for (sid, mask), s2 in by_key.items():
-        comp = full ^ mask
-        if comp > mask and (sid, comp) in by_key:
-            asym = max(asym, abs(s2 - by_key[(sid, comp)]))
+    if pairs:
+        first, second = np.array(pairs).T
+        asym = float(np.abs(s2[:, first] - s2[:, second]).max())
 
-    grouped: dict[int, list[SweepRecord]] = defaultdict(list)
-    for r in records:
-        grouped[r.subset_size].append(r)
     rows = []
-    for a in sorted(grouped):
-        vals = np.array([r.s2_bits for r in grouped[a]])
-        per_state: dict[int, list[float]] = defaultdict(list)
-        for r in grouped[a]:
-            per_state[r.state_id].append(r.s2_bits)
-        state_means = np.array([np.mean(v) for _, v in sorted(per_state.items())])
+    for a in np.unique(result.sizes).tolist():
+        # state-major, like the CSV rows of this size
+        block = s2[:, result.sizes == a]
+        vals = block.ravel()
+        # np.mean of each row on its own: block.mean(axis=1) sums in a
+        # different order and changes the last bits
+        state_means = np.array([np.mean(row) for row in block])
         rows.append(
             SizeSummary(
                 size=a,
@@ -411,28 +417,21 @@ def _metadata_lines(config: SweepConfig) -> list[str]:
     return lines
 
 
-def sweep_csv(records, config: SweepConfig) -> str:
+def sweep_csv(result: SweepResult, config: SweepConfig) -> str:
     """CSV text for a sweep: '#' metadata lines, a header, one row per
-    record, floats at 17 significant digits."""
+    (state, mask), floats at 17 significant digits."""
     lines = _metadata_lines(config)
     lines.append(CSV_HEADER)
-    for r in records:
-        lines.append(
-            f"{r.state_id},{r.subset_mask},{r.subset_size},"
-            f"{r.purity:.17g},{r.s2_bits:.17g}"
-        )
+    keys = [f"{m},{a}," for m, a in zip(result.masks.tolist(), result.sizes.tolist())]
+    for sid, (ps, s2s) in enumerate(zip(result.purity.tolist(), result.s2_bits.tolist())):
+        lines += [f"{sid},{key}{p:.17g},{s2:.17g}" for key, p, s2 in zip(keys, ps, s2s)]
     return "\n".join(lines) + "\n"
 
 
-def write_sweep_csv(records, config: SweepConfig, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(sweep_csv(records, config))
-
-
-def plot_data_text(records, config: SweepConfig) -> str:
+def plot_data_text(result: SweepResult, config: SweepConfig) -> str:
     """Companion per-size envelope of a sweep plus a tool-neutral recipe
     for reproducing the standard figure layout."""
-    summary = summarize_by_size(records, k=config.shape.k)
+    summary = summarize_by_size(result, k=config.shape.k)
     lines = _metadata_lines(config)
     lines += [
         "# figure recipe: x = subsets of the sweep CSV in row order",

@@ -9,7 +9,6 @@ states, all 4094 proper subsystems) is computed once and shared.
 import math
 import random
 import time
-from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -54,9 +53,9 @@ def report(criterion, ok, detail):
 @pytest.fixture(scope="module")
 def full_sweep():
     start = time.perf_counter()
-    records = run_sweep(FULL_CONFIG)
+    result = run_sweep(FULL_CONFIG)
     elapsed = time.perf_counter() - start
-    return records, elapsed
+    return result, elapsed
 
 
 @pytest.fixture(scope="module")
@@ -76,9 +75,9 @@ def oracle_instances():
 def test_criterion_01_schmidt_symmetry(full_sweep):
     # The sweep computes the side of each pair it enumerates first, by
     # (size, value), and copies it to the complement.  Here the copied side
-    # is computed on its own layout, and both records are checked against it.
-    records, _ = full_sweep
-    table = {(r.state_id, r.subset_mask): r.s2_bits for r in records}
+    # is computed on its own layout, and both columns are checked against it.
+    result, _ = full_sweep
+    column = {m: j for j, m in enumerate(result.masks.tolist())}
     rng = random.Random(FULL_CONFIG.seed)
     stack = np.stack([
         state_from_ontic(random_ontic(FULL_SHAPE.total, rng=rng), FULL_SHAPE).amps
@@ -95,28 +94,26 @@ def test_criterion_01_schmidt_symmetry(full_sweep):
         for sid, p in enumerate(own.tolist()):
             s2 = collision_entropy(p)
             worst = max(
-                worst, abs(table[(sid, mask)] - s2), abs(table[(sid, comp)] - s2)
+                worst,
+                abs(result.s2_bits[sid, column[mask]] - s2),
+                abs(result.s2_bits[sid, column[comp]] - s2),
             )
             pairs += 1
     assert pairs == 10 * 2047
     report(
         "1 Schmidt symmetry",
         worst < 1e-9,
-        f"max |s2 record - s2 on the complement's own layout| = {worst:.3e} "
+        f"max |s2 swept - s2 on the complement's own layout| = {worst:.3e} "
         f"over {pairs} pairs, tol 1e-9",
     )
 
 
 def test_criterion_02_max_mixed_plateau(full_sweep):
-    records, _ = full_sweep
-    sums = defaultdict(float)
-    counts = defaultdict(int)
-    for r in records:
-        sums[r.subset_size] += r.s2_bits
-        counts[r.subset_size] += 1
+    result, _ = full_sweep
     tolerances = {1: 0.2, 2: 0.35, 3: 0.5}
     deviations = {
-        a: abs(sums[a] / counts[a] - a) for a in tolerances
+        a: abs(float(result.s2_bits[:, result.sizes == a].mean()) - a)
+        for a in tolerances
     }
     ok = all(deviations[a] < tolerances[a] for a in tolerances)
     detail = ", ".join(
@@ -127,13 +124,13 @@ def test_criterion_02_max_mixed_plateau(full_sweep):
 
 
 def test_criterion_03_weak_state_dependence(full_sweep):
-    records, _ = full_sweep
-    per_state = defaultdict(lambda: defaultdict(list))
-    for r in records:
-        per_state[r.subset_size][r.state_id].append(r.s2_bits)
+    result, _ = full_sweep
+    sizes = np.unique(result.sizes).tolist()
+    assert sizes == list(range(1, 12))
     worst = 0.0
-    for size, states in per_state.items():
-        means = np.array([np.mean(v) for v in states.values()])
+    for size in sizes:
+        block = result.s2_bits[:, result.sizes == size]
+        means = np.array([np.mean(row) for row in block])
         assert means.size == 10
         worst = max(worst, float(means.std()))
     report(
@@ -335,12 +332,14 @@ def test_criterion_10_csv_determinism():
 
 
 def test_full_sweep_runtime_budget(full_sweep):
-    records, elapsed = full_sweep
-    assert len(records) == 10 * 4094
+    result, elapsed = full_sweep
+    assert result.purity.shape == result.s2_bits.shape == (10, 4094)
     start = time.perf_counter()
     rerun = run_sweep(FULL_CONFIG)
     elapsed_rerun = time.perf_counter() - start
-    assert rerun == records  # a full-scale rerun must reproduce the output
+    # a full-scale rerun must reproduce the output exactly
+    for field in ("masks", "sizes", "purity", "s2_bits"):
+        assert np.array_equal(getattr(rerun, field), getattr(result, field)), field
     ok = elapsed < 60.0 and elapsed_rerun < 30.0
     report(
         "perf smoke",

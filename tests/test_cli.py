@@ -2,15 +2,52 @@
 
 import math
 
+import numpy as np
+import pytest
+
 import onticsim.reduction
 from onticsim import __version__
 from onticsim.cli import main
+from onticsim.permrep import random_permutation
+
+CSV_HEADER = "state_id,subset_mask,subset_size,purity,s2_bits"
+PLOT_HEADER = "size,count,min_s2,mean_s2,max_s2,std_s2,state_mean_std"
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def envelope_from_csv(text):
+    """The CSV's metadata lines, and the plot-data table and asymmetry line
+    recomputed from its rows with plain per-size and per-state lists."""
+    lines = text.splitlines()
+    header = lines.index(CSV_HEADER)
+    k = next(ln for ln in lines if ln.startswith("# shape=")).count("x") + 1
+    by_size, per_state, s2_of = {}, {}, {}
+    for line in lines[header + 1:]:
+        sid, mask, size, _, s2 = line.split(",")
+        sid, mask, size, s2 = int(sid), int(mask), int(size), float(s2)
+        by_size.setdefault(size, []).append(s2)
+        per_state.setdefault(size, {}).setdefault(sid, []).append(s2)
+        s2_of[sid, mask] = s2
+    full = (1 << k) - 1
+    asym = 0.0
+    for (sid, mask), s2 in s2_of.items():
+        if (sid, full ^ mask) in s2_of:
+            asym = max(asym, abs(s2 - s2_of[sid, full ^ mask]))
+    rows = [PLOT_HEADER]
+    for size in sorted(by_size):
+        vals = np.array(by_size[size])
+        means = np.array([np.mean(v) for _, v in sorted(per_state[size].items())])
+        rows.append(
+            f"{size},{vals.size},{vals.min():.17g},{vals.mean():.17g},"
+            f"{vals.max():.17g},{vals.std():.17g},{means.std():.17g}"
+        )
+    rows.append(f"# max_complement_asymmetry={asym:.17g}")
+    return lines[:header], rows
 
 
 class TestOverlap:
@@ -89,8 +126,45 @@ class TestSweep:
             "--out", str(tmp_path / "s.csv"), "--plot-data", str(plot), "--summary",
         )
         assert code == 0
-        assert "max_complement_asymmetry" in plot.read_text()
+        text = plot.read_text()
+        assert "max_complement_asymmetry" in text
         assert "size count min mean max" in err
+        # each --summary row is its size's plot-data row to 6 decimals
+        table = text.splitlines()
+        table = table[table.index(PLOT_HEADER) + 1:-1]
+        expected = []
+        for line in table:
+            size, count, lo, mean, hi, std, spread = line.split(",")
+            values = (float(v) for v in (lo, mean, hi, std, spread))
+            expected.append(" ".join([size, count] + [f"{v:.6f}" for v in values]))
+        summary = err.splitlines()
+        summary = summary[summary.index("size count min mean max std state_mean_std") + 1:]
+        assert len(expected) == 3
+        assert summary == expected
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--shape", "2^6", "--states", "5", "--seed", "1"),
+            ("--shape", "2^6", "--states", "5", "--seed", "1", "--basis", "energy",
+             "--generator", random_permutation(64, seed=7).cycle_string()),
+            ("--shape", "3^5", "--states", "7", "--seed", "9"),
+        ],
+        ids=["2^6-ontic", "2^6-energy", "3^5"],
+    )
+    def test_plot_data_is_the_envelope_of_the_csv(self, tmp_path, capsys, args):
+        out, plot = tmp_path / "s.csv", tmp_path / "envelope.txt"
+        code, _, _ = run_cli(
+            capsys, "sweep", *args, "--out", str(out), "--plot-data", str(plot)
+        )
+        assert code == 0
+        meta, rows = envelope_from_csv(out.read_text())
+        text = plot.read_text()
+        lines = text.splitlines()
+        assert text.endswith("\n")
+        assert lines[:len(meta)] == meta
+        assert lines[-len(rows):] == rows
+        assert all(ln.startswith("#") for ln in lines[len(meta):-len(rows)])
 
     def test_explicit_state(self, capsys):
         code, out, _ = run_cli(

@@ -1,5 +1,6 @@
 """Tests for the sweep driver, time series, and cycle census."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -13,7 +14,7 @@ from onticsim.entropy import collision_entropy
 from onticsim.errors import ConfigError, EmptyInput
 from onticsim.experiment import (
     SweepConfig,
-    SweepRecord,
+    SweepResult,
     _enumerate_masks,
     _mask_of_rank,
     plot_data_text,
@@ -55,11 +56,21 @@ def enumeration_order(mask):
     return bin(mask).count("1"), mask
 
 
-def copied_sides(records, k):
-    """(mask, complement) for every complement pair in the records, with the
+def columns(result):
+    """Mask value -> its column in the result's arrays."""
+    return {m: j for j, m in enumerate(result.masks.tolist())}
+
+
+def assert_same_result(a, b):
+    for field in ("masks", "sizes", "purity", "s2_bits"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+def copied_sides(result, k):
+    """(mask, complement) for every complement pair in the result, with the
     complement the side the sweep enumerates second and so copies."""
     full = (1 << k) - 1
-    masks = {r.subset_mask for r in records}
+    masks = set(result.masks.tolist())
     return sorted(
         (m, full ^ m)
         for m in masks
@@ -67,20 +78,20 @@ def copied_sides(records, k):
     )
 
 
-def assert_complements_match_own_layout(records, config, tol):
-    """Both records of each complement pair against the purity the test
+def assert_complements_match_own_layout(result, config, tol):
+    """Both columns of each complement pair against the purity the test
     computes on the copied side's own layout, so the Schmidt symmetry is
     checked between two separately computed Gram products."""
     stack = sweep_stack(config)
-    s2 = {(r.state_id, r.subset_mask): r.s2_bits for r in records}
-    pairs = copied_sides(records, config.shape.k)
+    column = columns(result)
+    pairs = copied_sides(result, config.shape.k)
     assert pairs
     for mask, comp in pairs:
         direct = purity(stack, SubsystemMask(comp, config.shape))
         for sid, p in enumerate(direct.tolist()):
             own = collision_entropy(p)
-            assert abs(s2[(sid, mask)] - own) < tol
-            assert abs(s2[(sid, comp)] - own) < tol
+            assert abs(result.s2_bits[sid, column[mask]] - own) < tol
+            assert abs(result.s2_bits[sid, column[comp]] - own) < tol
     return pairs
 
 
@@ -114,9 +125,10 @@ class TestSweepConfig:
         with pytest.raises(ConfigError):
             SweepConfig(shape=FactorizationShape((4,))).validate()
 
-    def test_memory_budget(self):
+    def test_memory_budget(self, monkeypatch):
+        monkeypatch.setattr(onticsim.experiment, "GRAM_DIM_CAP", 16)
         shape = FactorizationShape.parse("2^12")
-        config = SweepConfig(shape=shape, num_states=1, gram_dim_cap=16)
+        config = SweepConfig(shape=shape, num_states=1)
         with pytest.raises(ConfigError):
             run_sweep(config)
 
@@ -124,55 +136,57 @@ class TestSweepConfig:
 class TestRunSweep:
     def test_record_count_all_proper(self):
         shape = FactorizationShape((2, 2, 2, 2))
-        records = run_sweep(SweepConfig(shape=shape, num_states=3, seed=1))
-        assert len(records) == 3 * ((1 << 4) - 2)
+        result = run_sweep(SweepConfig(shape=shape, num_states=3, seed=1))
+        assert result.masks.shape == result.sizes.shape == ((1 << 4) - 2,)
+        assert result.purity.shape == result.s2_bits.shape == (3, (1 << 4) - 2)
 
     def test_product_state_singletons_are_zero(self):
         # 1001 on (2,2) is a product state: both one-factor entropies vanish
         shape = FactorizationShape((2, 2))
         config = SweepConfig(shape=shape, ontic_vectors=(bs("1001"),))
-        records = run_sweep(config)
-        singles = [r for r in records if r.subset_size == 1]
-        assert len(singles) == 2
-        for r in singles:
-            assert abs(r.s2_bits) < 1e-12
+        result = run_sweep(config)
+        singles = result.s2_bits[:, result.sizes == 1]
+        assert singles.shape == (1, 2)
+        assert np.all(np.abs(singles) < 1e-12)
 
     def test_complement_pairs_match(self):
         shape = FactorizationShape((2, 3, 2))
         config = SweepConfig(shape=shape, num_states=4, seed=2)
-        records = run_sweep(config)
-        pairs = assert_complements_match_own_layout(records, config, 1e-11)
+        result = run_sweep(config)
+        pairs = assert_complements_match_own_layout(result, config, 1e-11)
         assert len(pairs) == 3
 
     def test_record_ordering(self):
         shape = FactorizationShape((2, 2, 2))
-        records = run_sweep(SweepConfig(shape=shape, num_states=2, seed=3))
-        keys = [(r.state_id, r.subset_size, r.subset_mask) for r in records]
+        result = run_sweep(SweepConfig(shape=shape, num_states=2, seed=3))
+        keys = list(zip(result.sizes.tolist(), result.masks.tolist()))
         assert keys == sorted(keys)
+        assert [a for a, m in keys] == [bin(m).count("1") for _, m in keys]
+        assert result.purity.shape == (2, len(keys))
 
     def test_deterministic(self):
         shape = FactorizationShape((2,) * 6)
         config = SweepConfig(shape=shape, num_states=3, seed=4)
-        assert run_sweep(config) == run_sweep(config)
+        assert_same_result(run_sweep(config), run_sweep(config))
 
     def test_subset_sizes_policy(self):
         shape = FactorizationShape((2,) * 5)
-        records = run_sweep(
+        result = run_sweep(
             SweepConfig(shape=shape, num_states=2, seed=6, subset_sizes=(1, 3))
         )
-        assert {r.subset_size for r in records} == {1, 3}
-        assert len(records) == 2 * (5 + 10)
+        assert set(result.sizes.tolist()) == {1, 3}
+        assert result.purity.shape == (2, 5 + 10)
 
     def test_sampled_policy_is_deterministic_subset(self):
         shape = FactorizationShape((2,) * 8)
         config = SweepConfig(shape=shape, num_states=2, seed=7, samples_per_size=3)
-        records = run_sweep(config)
+        result = run_sweep(config)
         per_size = {}
-        for r in records:
-            per_size.setdefault(r.subset_size, set()).add(r.subset_mask)
+        for mask, size in zip(result.masks.tolist(), result.sizes.tolist()):
+            per_size.setdefault(size, set()).add(mask)
         for size, masks in per_size.items():
             assert len(masks) == min(3, math.comb(8, size))
-        assert run_sweep(config) == records
+        assert_same_result(run_sweep(config), result)
 
     @pytest.mark.parametrize("seed", [0, 7, 2024])
     def test_sampled_draw_matches_materialized_sample(self, seed):
@@ -208,8 +222,8 @@ class TestRunSweep:
     def test_density_controls_popcount(self):
         shape = FactorizationShape((2,) * 6)
         config = SweepConfig(shape=shape, num_states=5, seed=8, density=0.25)
-        records = run_sweep(config)
-        assert records  # sampling law is exercised via metadata below
+        result = run_sweep(config)
+        assert result.purity.shape == (5, 62)  # sampling law: metadata below
         assert config.state_weight() == 16
         assert config.sampling_label() == "fixed-weight=16"
 
@@ -219,8 +233,8 @@ class TestRunSweep:
         config = SweepConfig(
             shape=shape, num_states=3, seed=9, basis="energy", generator=g
         )
-        records = run_sweep(config)
-        pairs = assert_complements_match_own_layout(records, config, 1e-11)
+        result = run_sweep(config)
+        pairs = assert_complements_match_own_layout(result, config, 1e-11)
         assert len(pairs) == 15
 
     def test_identity_generator_energy_equals_ontic(self):
@@ -235,8 +249,9 @@ class TestRunSweep:
                 generator=Permutation.identity(16),
             )
         )
-        for a, b in zip(ontic, energy):
-            assert a.purity == pytest.approx(b.purity, abs=1e-12)
+        assert np.array_equal(ontic.masks, energy.masks)
+        assert ontic.purity.shape == energy.purity.shape == (2, 14)
+        assert np.all(np.abs(ontic.purity - energy.purity) <= 1e-12)
 
     def test_complex_ontic_amplitudes_kept_complex(self, monkeypatch):
         # a unit phase keeps the norm and every purity; the sweep hands the
@@ -254,13 +269,11 @@ class TestRunSweep:
 
         monkeypatch.setattr(onticsim.experiment, "purity", spy)
         monkeypatch.setattr(onticsim.experiment, "state_from_ontic", rotated)
-        records = run_sweep(config)
+        result = run_sweep(config)
         assert dtypes == [np.complex128] * 3
-        assert [(r.state_id, r.subset_mask) for r in records] == [
-            (r.state_id, r.subset_mask) for r in real
-        ]
-        for a, b in zip(real, records):
-            assert abs(a.purity - b.purity) < 1e-12
+        assert np.array_equal(result.masks, real.masks)
+        assert result.purity.shape == real.purity.shape
+        assert np.all(np.abs(real.purity - result.purity) < 1e-12)
 
     @pytest.mark.parametrize("basis", ["ontic", "energy"])
     def test_one_stacked_purity_call_per_complement_pair(self, monkeypatch, basis):
@@ -298,11 +311,12 @@ class TestRunSweep:
 
         monkeypatch.setattr(onticsim.experiment, "purity", counted)
         shape = FactorizationShape(dims)
-        records = run_sweep(
+        result = run_sweep(
             SweepConfig(shape=shape, num_states=2, seed=5, subset_sizes=sizes)
         )
         assert calls == expected
-        assert len(records) == 2 * len({r.subset_mask for r in records})
+        assert len(set(result.masks.tolist())) == result.masks.size
+        assert result.purity.shape == (2, result.masks.size)
 
     def test_sampled_sweep_computes_each_drawn_pair_once(self, monkeypatch):
         calls = []
@@ -314,11 +328,11 @@ class TestRunSweep:
         monkeypatch.setattr(onticsim.experiment, "purity", counted)
         shape = FactorizationShape((2,) * 6)
         config = SweepConfig(shape=shape, num_states=2, seed=3, samples_per_size=4)
-        records = run_sweep(config)
-        drawn = sorted({r.subset_mask for r in records}, key=enumeration_order)
+        result = run_sweep(config)
+        drawn = sorted(set(result.masks.tolist()), key=enumeration_order)
         full = (1 << 6) - 1
         unpaired = [m for m in drawn if full ^ m not in drawn]
-        pairs = copied_sides(records, 6)
+        pairs = copied_sides(result, 6)
         # the draw has both kinds: masks with and without a drawn partner
         assert unpaired and pairs
         assert calls == [m for i, m in enumerate(drawn) if full ^ m not in drawn[:i]]
@@ -331,28 +345,31 @@ class TestRunSweep:
         generator = random_permutation(shape.total, seed=17) if basis == "energy" else None
         config = SweepConfig(shape=shape, num_states=3, seed=17, basis=basis,
                              generator=generator)
-        records = run_sweep(config)
+        result = run_sweep(config)
         stack = sweep_stack(config)
-        assert len(records) == 3 * ((1 << shape.k) - 2)
-        for r in records:
-            row = stack[r.state_id:r.state_id + 1]
-            direct = purity(row, SubsystemMask(r.subset_mask, shape))
-            assert abs(r.purity - direct[0]) < 1e-12
+        assert result.purity.shape == (3, (1 << shape.k) - 2)
+        for sid in range(3):
+            row = stack[sid:sid + 1]
+            for j, mask in enumerate(result.masks.tolist()):
+                direct = purity(row, SubsystemMask(mask, shape))
+                assert abs(result.purity[sid, j] - direct[0]) < 1e-12
 
     def test_records_satisfy_bounds(self):
         shape = FactorizationShape((2,) * 6)
-        records = run_sweep(SweepConfig(shape=shape, num_states=3, seed=11))
-        for r in records:
-            cap = min(r.subset_size, 6 - r.subset_size) * 1.0
-            assert -1e-12 <= r.s2_bits <= cap + 1e-9
-            assert r.s2_bits == pytest.approx(-math.log2(r.purity), abs=1e-12)
+        result = run_sweep(SweepConfig(shape=shape, num_states=3, seed=11))
+        assert result.purity.shape == (3, 62)
+        for ps, s2s in zip(result.purity.tolist(), result.s2_bits.tolist()):
+            for size, p, s2 in zip(result.sizes.tolist(), ps, s2s):
+                cap = min(size, 6 - size) * 1.0
+                assert -1e-12 <= s2 <= cap + 1e-9
+                assert s2 == pytest.approx(-math.log2(p), abs=1e-12)
 
 
 class TestSummaries:
     def test_symmetric_sizes_agree(self):
         shape = FactorizationShape((2,) * 6)
-        records = run_sweep(SweepConfig(shape=shape, num_states=3, seed=12))
-        summary = summarize_by_size(records, k=6)
+        result = run_sweep(SweepConfig(shape=shape, num_states=3, seed=12))
+        summary = summarize_by_size(result, k=6)
         rows = {row.size: row for row in summary.by_size}
         for a in (1, 2):
             assert rows[a].mean_s2 == pytest.approx(rows[6 - a].mean_s2, abs=1e-11)
@@ -362,35 +379,41 @@ class TestSummaries:
     def test_single_record(self):
         shape = FactorizationShape((2, 2))
         config = SweepConfig(shape=shape, ontic_vectors=(bs("1000"),), subset_sizes=(1,))
-        records = run_sweep(config)
-        summary = summarize_by_size(records[:1], k=2)
+        result = run_sweep(config)
+        first = SweepResult(
+            result.masks[:1], result.sizes[:1], result.purity[:, :1], result.s2_bits[:, :1]
+        )
+        summary = summarize_by_size(first, k=2)
+        assert len(summary.by_size) == 1
         row = summary.by_size[0]
+        assert row.count == 1
         assert row.min_s2 == row.max_s2 == row.mean_s2
         assert row.std_s2 == 0.0
 
     def test_empty_input(self):
+        empty = SweepResult(
+            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+            np.empty((1, 0)), np.empty((1, 0)),
+        )
         with pytest.raises(EmptyInput):
-            summarize_by_size([], k=2)
+            summarize_by_size(empty, k=2)
 
     def test_asymmetry_reported(self):
         shape = FactorizationShape((2, 2, 2))
         config = SweepConfig(shape=shape, num_states=2, seed=13)
-        records = run_sweep(config)
-        assert summarize_by_size(records, k=3).max_complement_asymmetry < 1e-12
-        # the copied side replaced by the purity on its own layout: the
+        result = run_sweep(config)
+        assert summarize_by_size(result, k=3).max_complement_asymmetry < 1e-12
+        # the copied columns replaced by the purity on their own layout: the
         # summary then compares two separately computed sides
         stack = sweep_stack(config)
-        own = {}
-        for _, comp in copied_sides(records, 3):
-            for sid, p in enumerate(purity(stack, SubsystemMask(comp, shape)).tolist()):
-                own[(sid, comp)] = p
-        separate = []
-        for r in records:
-            p = own.get((r.state_id, r.subset_mask), r.purity)
-            separate.append(SweepRecord(
-                r.state_id, r.subset_mask, r.subset_size, p, collision_entropy(p)
-            ))
-        assert len(own) == 2 * 3
+        column = columns(result)
+        own = result.purity.copy()
+        copied = [comp for _, comp in copied_sides(result, 3)]
+        for comp in copied:
+            own[:, column[comp]] = purity(stack, SubsystemMask(comp, shape))
+        s2 = np.array([[collision_entropy(p) for p in row] for row in own.tolist()])
+        separate = dataclasses.replace(result, purity=own, s2_bits=s2)
+        assert own.shape == (2, 6) and len(copied) == 3
         assert summarize_by_size(separate, k=3).max_complement_asymmetry < 1e-12
 
 
@@ -423,8 +446,8 @@ class TestCsvOutput:
     def test_plot_data_envelope(self):
         shape = FactorizationShape((2,) * 4)
         config = SweepConfig(shape=shape, num_states=2, seed=16)
-        records = run_sweep(config)
-        text = plot_data_text(records, config)
+        result = run_sweep(config)
+        text = plot_data_text(result, config)
         assert "size,count,min_s2,mean_s2,max_s2,std_s2,state_mean_std" in text
         assert "max_complement_asymmetry=" in text
         data_rows = [
