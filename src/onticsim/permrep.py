@@ -34,26 +34,31 @@ __all__ = [
     "energy_basis",
 ]
 
+MATRIX_DIM_CAP = 4096  # largest n for which a dense n x n matrix is built
 
-def _cycles_from_images(images: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Disjoint cycles in canonical form: each cycle starts at its minimum
-    and follows the action; cycles sorted by minimum; fixed points kept."""
-    n = images.shape[0]
+
+def _cycle_layout(images: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The canonical cycles laid end to end: each cycle starts at its
+    minimum and follows the action, cycles are sorted by minimum and
+    fixed points are kept.  Returns the points in that order, each
+    cycle's length and each cycle's first slot, as read-only int64 arrays."""
     img = images.tolist()
-    seen = bytearray(n)
-    cycles = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        cyc = [start]
-        j = img[start]
-        while j != start:
-            seen[j] = 1
-            cyc.append(j)
-            j = img[j]
-        cycles.append(tuple(cyc))
-    return tuple(cycles)
+    seen = bytearray(len(img))
+    points: list[int] = []
+    starts: list[int] = []
+    for start in range(len(img)):
+        if not seen[start]:
+            starts.append(len(points))
+            j = start
+            while not seen[j]:
+                seen[j] = 1
+                points.append(j)
+                j = img[j]
+    first = np.array(starts, dtype=np.int64)
+    layout = (np.array(points, dtype=np.int64), np.diff(first, append=len(img)), first)
+    for arr in layout:
+        arr.setflags(write=False)
+    return layout
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,26 +66,18 @@ class Permutation:
     """A bijection of {0, ..., n-1}; images[i] is the image of i."""
 
     images: np.ndarray
-    cycles: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         arr = np.array(self.images, dtype=np.int64, copy=True)
+        n = arr.size
+        if arr.ndim != 1 or n < 1 or not np.array_equal(np.sort(arr), np.arange(n)):
+            raise InvalidCycle("images do not form a bijection of 0..n-1")
         arr.setflags(write=False)
         object.__setattr__(self, "images", arr)
 
     @classmethod
-    def from_images(cls, images) -> "Permutation":
-        arr = np.asarray(images, dtype=np.int64)
-        n = arr.size
-        if n < 1 or not np.array_equal(np.sort(arr), np.arange(n)):
-            raise InvalidCycle("images do not form a bijection of 0..n-1")
-        return cls(arr, _cycles_from_images(arr))
-
-    @classmethod
     def identity(cls, n: int) -> "Permutation":
-        if n < 1:
-            raise ConfigError(f"size must be >= 1, got {n}")
-        return cls.from_images(np.arange(n))
+        return cls.from_cycles(n, [])
 
     @classmethod
     def from_cycles(cls, n: int, cycles) -> "Permutation":
@@ -98,9 +95,8 @@ class Permutation:
                 if p in seen:
                     raise InvalidCycle(f"point {p} appears more than once")
                 seen.add(p)
-            for a, b in zip(pts, pts[1:] + pts[:1]):
-                images[a] = b
-        return cls(images, _cycles_from_images(images))
+            images[pts] = pts[1:] + pts[:1]
+        return cls(images)
 
     @classmethod
     def parse(cls, n: int, text: str) -> "Permutation":
@@ -126,27 +122,39 @@ class Permutation:
         return self.images.size
 
     @cached_property
+    def layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_cycle_layout`` of the images, computed once, on first use."""
+        return _cycle_layout(self.images)
+
+    @property
+    def cycles(self) -> tuple[tuple[int, ...], ...]:
+        """The canonical cycles, fixed points included."""
+        points, _, starts = self.layout
+        return tuple(tuple(c.tolist()) for c in np.split(points, starts[1:]))
+
+    @cached_property
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles))
+        return math.lcm(*self.layout[1].tolist())
 
     @cached_property
     def cycle_type(self) -> tuple[int, ...]:
-        return tuple(sorted((len(c) for c in self.cycles), reverse=True))
+        return tuple(sorted(self.layout[1].tolist(), reverse=True))
 
     def power_images(self, t: int) -> np.ndarray:
-        """Image array of g**t (t may be negative; reduced mod the order)."""
-        t = t % self.order
+        """Image array of g**t, t of any sign: the point in slot s of a cycle
+        of length ell moves to slot (s + t) mod ell of that cycle."""
+        points, lengths, starts = self.layout
+        shifts = np.array([t % ell for ell in lengths.tolist()])
+        first = np.repeat(starts, lengths)
+        offset = np.arange(self.n) - first + np.repeat(shifts, lengths)
         out = np.empty(self.n, dtype=np.int64)
-        for cyc in self.cycles:
-            c = np.asarray(cyc, dtype=np.int64)
-            out[c] = np.roll(c, -(t % len(cyc)))
+        out[points] = points[first + offset % np.repeat(lengths, lengths)]
         return out
 
-    def cycle_string(self, include_fixed: bool = False) -> str:
-        parts = [c for c in self.cycles if len(c) > 1 or include_fixed]
-        if not parts:
-            return "()"
-        return "".join("(" + " ".join(map(str, c)) + ")" for c in parts)
+    def cycle_string(self) -> str:
+        """Cycle notation without the fixed points; "()" for the identity."""
+        moved = [c for c in self.cycles if len(c) > 1]
+        return "".join("(" + " ".join(map(str, c)) + ")" for c in moved) or "()"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Permutation):
@@ -159,7 +167,7 @@ def random_permutation(n: int, seed: int | None = None) -> Permutation:
     if n < 1:
         raise ConfigError(f"size must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    return Permutation.from_images(rng.permutation(n))
+    return Permutation(rng.permutation(n))
 
 
 def apply_permutation(g: Permutation, psi: PureState, t: int = 1) -> PureState:
@@ -200,10 +208,10 @@ def fourier_block(length: int) -> np.ndarray:
     return np.exp(-2j * np.pi * phases / length) / math.sqrt(length)
 
 
-def permutation_matrix(g: Permutation, cap: int = 4096) -> np.ndarray:
+def permutation_matrix(g: Permutation) -> np.ndarray:
     """Dense 0/1 matrix of the permutation: row i is set at column images[i]."""
-    if g.n > cap:
-        raise DimensionCap(f"refusing {g.n}x{g.n} matrix (cap {cap})")
+    if g.n > MATRIX_DIM_CAP:
+        raise DimensionCap(f"refusing {g.n}x{g.n} matrix (cap {MATRIX_DIM_CAP})")
     mat = np.zeros((g.n, g.n))
     mat[np.arange(g.n), g.images] = 1.0
     return mat
@@ -213,49 +221,40 @@ def permutation_matrix(g: Permutation, cap: int = 4096) -> np.ndarray:
 class EnergyBasis:
     """Change of basis that diagonalizes a permutation matrix.
 
-    ``point_order`` lists the original indices with each cycle contiguous;
-    Fourier-transforming every cycle block completes the diagonalization.
-    Grouped position (block m, slot k) carries the exact eigenphase pair
-    (ell_m, k), i.e. eigenvalue exp(2 pi i k / ell_m).
+    Grouped position s is slot s of the generator's cycle layout: the
+    original indices with each cycle contiguous.  Fourier-transforming
+    every cycle block completes the diagonalization, and slot k of a
+    cycle of length ell carries the exact eigenphase pair (ell, k), i.e.
+    eigenvalue exp(2 pi i k / ell).
     """
 
     generator: Permutation
-    point_order: np.ndarray
-    blocks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        arr = np.array(self.point_order, dtype=np.int64, copy=True)
-        arr.setflags(write=False)
-        object.__setattr__(self, "point_order", arr)
-
-    @cached_property
-    def offsets(self) -> tuple[int, ...]:
-        out = [0]
-        for length in self.blocks:
-            out.append(out[-1] + length)
-        return tuple(out[:-1])
+    def _blocks(self):
+        """(original indices, first slot, length) of each cycle block."""
+        points, lengths, starts = self.generator.layout
+        for start, length in zip(starts.tolist(), lengths.tolist()):
+            yield points[start : start + length], start, length
 
     @cached_property
     def eigenphase_exponents(self) -> tuple[tuple[int, int], ...]:
         """Per grouped position, the exact pair (ell, k) for exp(2 pi i k / ell)."""
-        return tuple((length, k) for length in self.blocks for k in range(length))
+        lengths = self.generator.layout[1].tolist()
+        return tuple((length, k) for length in lengths for k in range(length))
 
     def eigenvalues(self) -> np.ndarray:
         """Diagonal of the transformed permutation matrix, grouped order."""
-        ells = np.concatenate([np.full(length, length) for length in self.blocks])
-        ks = np.concatenate([np.arange(length) for length in self.blocks])
-        return np.exp(2j * np.pi * ks / ells)
+        _, lengths, starts = self.generator.layout
+        ks = np.arange(self.generator.n) - np.repeat(starts, lengths)
+        return np.exp(2j * np.pi * ks / np.repeat(lengths, lengths))
 
     def transform(self, psi: PureState) -> PureState:
         """Amplitudes in the diagonalizing basis (per-cycle DFT blocks),
         complex128 whatever the dtype of ``psi``."""
         if psi.dim != self.generator.n:
-            raise SizeMismatch(
-                f"basis size {self.generator.n} != state dimension {psi.dim}"
-            )
+            raise SizeMismatch(f"basis size {self.generator.n} != state dimension {psi.dim}")
         out = np.empty(psi.dim, dtype=np.complex128)
-        for start, length in zip(self.offsets, self.blocks):
-            pts = self.point_order[start : start + length]
+        for pts, start, length in self._blocks():
             out[start : start + length] = np.fft.fft(psi.amps[pts]) / math.sqrt(length)
         return PureState(out, psi.shape)
 
@@ -263,28 +262,23 @@ class EnergyBasis:
         """Back to the original basis; exact inverse of :meth:`transform`.
         The result is complex128."""
         if psi.dim != self.generator.n:
-            raise SizeMismatch(
-                f"basis size {self.generator.n} != state dimension {psi.dim}"
-            )
+            raise SizeMismatch(f"basis size {self.generator.n} != state dimension {psi.dim}")
         out = np.empty(psi.dim, dtype=np.complex128)
-        for start, length in zip(self.offsets, self.blocks):
-            pts = self.point_order[start : start + length]
+        for pts, start, length in self._blocks():
             out[pts] = np.fft.ifft(psi.amps[start : start + length]) * math.sqrt(length)
         return PureState(out, psi.shape)
 
-    def matrix(self, cap: int = 4096) -> np.ndarray:
+    def matrix(self) -> np.ndarray:
         """Dense transition matrix (tests and small systems only)."""
         n = self.generator.n
-        if n > cap:
-            raise DimensionCap(f"refusing {n}x{n} matrix (cap {cap})")
+        if n > MATRIX_DIM_CAP:
+            raise DimensionCap(f"refusing {n}x{n} matrix (cap {MATRIX_DIM_CAP})")
         mat = np.zeros((n, n), dtype=np.complex128)
-        for start, length in zip(self.offsets, self.blocks):
-            pts = self.point_order[start : start + length]
+        for pts, start, length in self._blocks():
             mat[start : start + length, pts] = fourier_block(length)
         return mat
 
 
 def energy_basis(g: Permutation) -> EnergyBasis:
-    """Grouping order and Fourier block sizes for the generator's cycles."""
-    order = np.concatenate([np.asarray(c, dtype=np.int64) for c in g.cycles])
-    return EnergyBasis(g, order, tuple(len(c) for c in g.cycles))
+    """The basis that diagonalizes the generator's evolution."""
+    return EnergyBasis(g)

@@ -35,6 +35,8 @@ __all__ = [
 # slack on the purity range [1/min(d_A, d_B), 1] before a computed purity
 # counts as a broken invariant
 PURITY_TOLERANCE = 1e-9
+REDUCED_DENSITY_CAP = 4096  # largest subsystem dimension of reduced_density
+BRUTEFORCE_DIM_CAP = 256  # largest total dimension of the brute-force oracle
 
 
 def _check_proper(mask: SubsystemMask) -> None:
@@ -97,18 +99,18 @@ def _stack_purities(stack: np.ndarray, mask: SubsystemMask) -> np.ndarray:
     return out
 
 
-def reduced_density(psi: PureState, mask: SubsystemMask, cap: int = 4096) -> DensityMatrix:
+def reduced_density(psi: PureState, mask: SubsystemMask) -> DensityMatrix:
     """Partial trace over the complement, computed as Psi Psi†."""
     _check_pair(psi, mask)
-    if mask.dim > cap:
-        raise DimensionCap(f"subsystem dimension {mask.dim} exceeds cap {cap}")
+    if mask.dim > REDUCED_DENSITY_CAP:
+        raise DimensionCap(f"subsystem dimension {mask.dim} exceeds cap {REDUCED_DENSITY_CAP}")
     m = bipartite_view(psi, mask)
     gram = m @ m.conj().T
     # symmetrize away the last-bit asymmetry of the matrix product
     return DensityMatrix((gram + gram.conj().T) / 2.0)
 
 
-def reduced_density_bruteforce(psi: PureState, mask: SubsystemMask, cap: int = 256) -> DensityMatrix:
+def reduced_density_bruteforce(psi: PureState, mask: SubsystemMask) -> DensityMatrix:
     """Reference partial trace: explicit sums over complement digits using
     integer index arithmetic only.
 
@@ -116,8 +118,8 @@ def reduced_density_bruteforce(psi: PureState, mask: SubsystemMask, cap: int = 2
     as the oracle it is checked against.
     """
     _check_pair(psi, mask)
-    if psi.dim > cap:
-        raise DimensionCap(f"brute-force path is capped at total dimension {cap}")
+    if psi.dim > BRUTEFORCE_DIM_CAP:
+        raise DimensionCap(f"brute-force path is capped at dimension {BRUTEFORCE_DIM_CAP}")
     d_a = mask.dim
     d_b = psi.dim // d_a
     rho = np.zeros((d_a, d_a), dtype=np.complex128)

@@ -35,6 +35,8 @@ __all__ = [
     "density_full",
 ]
 
+DENSITY_FULL_CAP = 256  # largest dimension density_full builds a matrix for
+
 
 @dataclass(frozen=True)
 class PureState:
@@ -169,8 +171,8 @@ def state_from_natural(vector, shape: FactorizationShape) -> PureState:
     return PureState(projected / norm, shape)
 
 
-def density_full(psi: PureState, cap: int = 256) -> DensityMatrix:
+def density_full(psi: PureState) -> DensityMatrix:
     """Rank-one density matrix psi psi† (guarded: quadratic in dimension)."""
-    if psi.dim > cap:
-        raise DimensionCap(f"refusing {psi.dim}x{psi.dim} matrix (cap {cap})")
+    if psi.dim > DENSITY_FULL_CAP:
+        raise DimensionCap(f"refusing {psi.dim}x{psi.dim} matrix (cap {DENSITY_FULL_CAP})")
     return DensityMatrix(np.outer(psi.amps, psi.amps.conj()))

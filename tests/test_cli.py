@@ -1,6 +1,8 @@
 """Tests for the command line interface."""
 
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from onticsim import __version__
 from onticsim.cli import main
 from onticsim.permrep import random_permutation
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 CSV_HEADER = "state_id,subset_mask,subset_size,purity,s2_bits"
 PLOT_HEADER = "size,count,min_s2,mean_s2,max_s2,std_s2,state_mean_std"
 
@@ -323,3 +326,23 @@ class TestEvolve:
             "--mask", "1", "--ontic", "4:0x9", "--t-max", "5", "--allow-wrap",
         )
         assert code == 0
+
+
+def readme_commands():
+    """Every `onticsim ...` line of the README's CLI block, with
+    backslash continuations joined."""
+    text = README.read_text()
+    block = text[text.index("## CLI") :].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines if line.startswith("onticsim ")]
+
+
+class TestReadme:
+    def test_block_found(self):
+        assert len(readme_commands()) >= 7
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: f"{argv[1]} {argv[3]}")
+    def test_cli_example_runs(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(capsys, *argv[1:])
+        assert code == 0, err

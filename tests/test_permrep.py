@@ -1,12 +1,14 @@
 """Tests for permutations, evolution, and the diagonalizing basis."""
 
+import math
 import random
 
 import numpy as np
 import pytest
 
+import onticsim.permrep
 from onticsim.bitstate import OnticVector, popcount, random_ontic
-from onticsim.errors import ConfigError, InvalidCycle, SizeMismatch
+from onticsim.errors import ConfigError, DimensionCap, InvalidCycle, SizeMismatch
 from onticsim.indexing import FactorizationShape
 from onticsim.permrep import (
     EnergyBasis,
@@ -23,6 +25,37 @@ from onticsim.states import PureState, density_full, state_from_ontic
 
 def flat_shape(n):
     return FactorizationShape((n,))
+
+
+def squaring_images(images, t):
+    """Images of g**t by repeated squaring of the image array; a negative
+    t squares the inverse.  Shares no code with the cycle layout."""
+    base = np.asarray(images)
+    if t < 0:
+        base, t = np.argsort(base), -t
+    result = np.arange(base.size)
+    while t:
+        if t & 1:
+            result = base[result]
+        base = base[base]
+        t >>= 1
+    return result
+
+
+def oracle_cases():
+    """Random permutations of sizes 1-200, and 1,500 transpositions plus a
+    7-cycle on 4096 points."""
+    rng = np.random.default_rng(21)
+    sizes = [1, 2, 3, 7, 64, 200] + rng.integers(1, 201, size=14).tolist()
+    cases = [random_permutation(n, seed=int(rng.integers(1 << 30))) for n in sizes]
+    pairs = [[2 * i, 2 * i + 1] for i in range(1500)]
+    cases.append(Permutation.from_cycles(4096, pairs + [list(range(3000, 3007))]))
+    return cases
+
+
+def oracle_times(g):
+    big = 2**70 + 3
+    return (0, 1, -1, g.order, g.order + 1, big, -big)
 
 
 class TestConstruction:
@@ -72,6 +105,102 @@ class TestConstruction:
             assert np.array_equal(mat.sum(axis=0), np.ones(n))
 
 
+class TestBijectionCheck:
+    @pytest.mark.parametrize(
+        "images",
+        [[0, 0, 2], [1, 2, 3], [-1, 0, 1], [], [[0, 1], [1, 0]]],
+        ids=["duplicate", "too-large", "negative", "empty", "2-D"],
+    )
+    def test_rejected(self, images):
+        with pytest.raises(InvalidCycle):
+            Permutation(images)
+
+    def test_accepted_images_are_a_read_only_copy(self):
+        source = np.array([2, 0, 1])
+        g = Permutation(source)
+        source[0] = 0
+        assert g.images.tolist() == [2, 0, 1]
+        assert not g.images.flags.writeable
+
+
+class TestCycleLayout:
+    def test_example(self):
+        points, lengths, starts = Permutation.from_cycles(6, [[4, 5], [2, 0, 1]]).layout
+        assert points.tolist() == [0, 1, 2, 3, 4, 5]
+        assert lengths.tolist() == [3, 1, 2]
+        assert starts.tolist() == [0, 3, 4]
+
+    def test_walked_once_for_every_reader(self, monkeypatch):
+        calls = []
+        walk = onticsim.permrep._cycle_layout
+
+        def counted(images):
+            calls.append(1)
+            return walk(images)
+
+        monkeypatch.setattr(onticsim.permrep, "_cycle_layout", counted)
+        g = random_permutation(40, seed=3)
+        assert not calls
+        g.cycles, g.order, g.cycle_type, g.cycle_string(), g.power_images(5)
+        basis = energy_basis(g)
+        psi = state_from_ontic(random_ontic(40, seed=4), flat_shape(40))
+        basis.inverse_transform(basis.transform(psi))
+        basis.eigenvalues(), basis.eigenphase_exponents, basis.matrix()
+        apply_permutation(g, psi, 3)
+        assert len(calls) == 1
+
+
+class TestPowerOracle:
+    def test_power_images(self):
+        for g in oracle_cases():
+            assert np.array_equal(squaring_images(g.images, g.order), np.arange(g.n))
+            for t in oracle_times(g):
+                expected = squaring_images(g.images, t)
+                assert np.array_equal(g.power_images(t), expected), (g.n, t)
+
+    def test_apply_permutation(self):
+        rng = random.Random(22)
+        for g in oracle_cases():
+            if g.n == 1:
+                continue  # one point has no nontrivial subset to build a state from
+            psi = state_from_ontic(random_ontic(g.n, rng=rng), flat_shape(g.n))
+            for t in oracle_times(g):
+                expected = np.empty_like(psi.amps)
+                expected[squaring_images(g.images, t)] = psi.amps
+                assert np.array_equal(apply_permutation(g, psi, t).amps, expected), (g.n, t)
+
+    def test_transform_matches_concatenated_cycles(self):
+        # the block layout the basis had when it stored its own copy of the
+        # cycles: concatenated in canonical order, one FFT per cycle
+        rng = random.Random(23)
+        for g in oracle_cases():
+            if g.n == 1:
+                continue
+            order = np.concatenate([np.asarray(c, dtype=np.int64) for c in g.cycles])
+            psi = state_from_ontic(random_ontic(g.n, rng=rng), flat_shape(g.n))
+            expected = np.empty(g.n, dtype=np.complex128)
+            start = 0
+            for length in (len(c) for c in g.cycles):
+                block = slice(start, start + length)
+                expected[block] = np.fft.fft(psi.amps[order[block]]) / math.sqrt(length)
+                start += length
+            assert np.array_equal(energy_basis(g).transform(psi).amps, expected)
+
+
+class TestDimensionCap:
+    def test_permutation_matrix(self, monkeypatch):
+        monkeypatch.setattr(onticsim.permrep, "MATRIX_DIM_CAP", 4)
+        assert permutation_matrix(random_permutation(4, seed=1)).shape == (4, 4)
+        with pytest.raises(DimensionCap):
+            permutation_matrix(random_permutation(5, seed=1))
+
+    def test_energy_basis_matrix(self, monkeypatch):
+        monkeypatch.setattr(onticsim.permrep, "MATRIX_DIM_CAP", 4)
+        assert energy_basis(random_permutation(4, seed=2)).matrix().shape == (4, 4)
+        with pytest.raises(DimensionCap):
+            energy_basis(random_permutation(5, seed=2)).matrix()
+
+
 class TestRandomPermutation:
     def test_size_one(self):
         assert random_permutation(1, seed=0) == Permutation.identity(1)
@@ -85,7 +214,7 @@ class TestRandomPermutation:
         samples = 20_000
         rng = np.random.default_rng(77)
         for _ in range(samples):
-            g = Permutation.from_images(rng.permutation(20))
+            g = Permutation(rng.permutation(20))
             for c in g.cycles:
                 if len(c) <= 8:
                     counts[len(c)] += 1

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+import onticsim.reduction
 from onticsim.bitstate import OnticVector, complement, random_ontic
 from onticsim.errors import ConfigError, DimensionCap, NumericViolation, TrivialSubsystem
 from onticsim.indexing import FactorizationShape, SubsystemMask, split_index
@@ -97,11 +98,12 @@ class TestReducedDensity:
                 rho = reduced_density(psi, mask)
                 assert np.trace(rho.entries).real == pytest.approx(1.0, abs=1e-12)
 
-    def test_dimension_cap(self):
+    def test_dimension_cap(self, monkeypatch):
+        monkeypatch.setattr(onticsim.reduction, "REDUCED_DENSITY_CAP", 2)
         shape = FactorizationShape((4, 4))
         psi = state_from_ontic(random_ontic(16, seed=5), shape)
         with pytest.raises(DimensionCap):
-            reduced_density(psi, SubsystemMask.from_positions(shape, [0]), cap=2)
+            reduced_density(psi, SubsystemMask.from_positions(shape, [0]))
 
 
 class TestBruteForceOracle:

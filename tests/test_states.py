@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import onticsim.states
 from onticsim.bitstate import OnticVector, complement, overlap_standard, random_ontic
 from onticsim.errors import (
     DegenerateState,
@@ -161,12 +162,13 @@ class TestDensityFull:
         rho_nq = density_full(state_from_ontic(complement(q), shape))
         assert np.abs(rho_q.entries - rho_nq.entries).max() < 1e-14
 
-    def test_dimension_cap(self):
+    def test_dimension_cap(self, monkeypatch):
         shape = flat_shape(512)
         psi = state_from_ontic(random_ontic(512, seed=1), shape)
         with pytest.raises(DimensionCap):
             density_full(psi)
-        assert density_full(psi, cap=512).dim == 512
+        monkeypatch.setattr(onticsim.states, "DENSITY_FULL_CAP", 512)
+        assert density_full(psi).dim == 512
 
 
 class TestDtypeRule:
