@@ -102,7 +102,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.plot_data:
         _write_output(args.plot_data, plot_data_text(result, config))
     if args.summary:
-        summary = summarize_by_size(result, k=shape.k)
+        summary = summarize_by_size(result)
         print(f"# max_complement_asymmetry={summary.max_complement_asymmetry:.3e}",
               file=sys.stderr)
         print("size count min mean max std state_mean_std", file=sys.stderr)

@@ -42,12 +42,12 @@ class Spectrum:
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("spectrum must be a nonempty vector")
         low = float(arr.min())
-        if low < EIGENVALUE_FLOOR:
+        if not low >= EIGENVALUE_FLOOR:
             raise NumericViolation(
                 f"eigenvalue {low} below the positivity tolerance {EIGENVALUE_FLOOR}"
             )
         total = float(arr.sum())
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise NumericViolation(f"eigenvalues sum to {total}, not 1 within 1e-9")
         arr = np.clip(arr, 0.0, None)
         arr = np.sort(arr)[::-1] / arr.sum()
@@ -73,7 +73,7 @@ def spectrum_of(rho) -> Spectrum:
     """
     m = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=np.complex128)
     asym = float(np.abs(m - m.conj().T).max())
-    if asym > 1e-8:
+    if not asym <= 1e-8:
         raise NotHermitian(f"asymmetry {asym} exceeds 1e-8")
     return Spectrum(np.linalg.eigvalsh(m))
 

@@ -41,6 +41,8 @@ __all__ = [
 CSV_HEADER = "state_id,subset_mask,subset_size,purity,s2_bits"
 # largest Gram matrix side a sweep mask may need
 GRAM_DIM_CAP = 1 << 13
+# points the cycle census lays out per batch (at least one whole sample)
+CENSUS_BATCH_POINTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -138,12 +140,14 @@ class SweepResult:
 
     ``masks`` and ``sizes`` are the ``(M,)`` mask values and popcounts;
     ``purity`` and ``s2_bits`` are ``(S, M)``.  The arrays are read-only.
+    ``k`` is the number of factor positions the masks address.
     """
 
     masks: np.ndarray
     sizes: np.ndarray
     purity: np.ndarray
     s2_bits: np.ndarray
+    k: int
 
     def __post_init__(self) -> None:
         for values in (self.masks, self.sizes, self.purity, self.s2_bits):
@@ -236,6 +240,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         sizes=np.array([mask.size for mask in masks]),
         purity=purities,
         s2_bits=s2.reshape(purities.shape),
+        k=config.shape.k,
     )
 
 
@@ -258,16 +263,13 @@ class SweepSummary:
     max_complement_asymmetry: float
 
 
-def summarize_by_size(result: SweepResult, k: int) -> SweepSummary:
+def summarize_by_size(result: SweepResult) -> SweepSummary:
     """Per-size statistics plus the largest entropy difference between any
-    subsystem and its complement.
-
-    ``k`` is the number of factor positions, needed to pair complements.
-    """
+    subsystem and its complement."""
     s2 = result.s2_bits
     if s2.size == 0:
         raise EmptyInput("no sweep results to summarize")
-    full = (1 << k) - 1
+    full = (1 << result.k) - 1
     column = {m: j for j, m in enumerate(result.masks.tolist())}
     pairs = [(j, column[full ^ m]) for m, j in column.items() if full ^ m in column]
     asym = 0.0
@@ -359,28 +361,21 @@ def run_cycle_census(n: int, samples: int, seed: int | None = 0) -> CycleCensus:
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
-    perms = rng.permuted(np.tile(np.arange(n), (samples, 1)), axis=1)
+    rows = max(1, CENSUS_BATCH_POINTS // n)
     sums = [0] * (n + 1)
     squares = [0] * (n + 1)
-    for row in perms:
-        img = row.tolist()
-        seen = bytearray(n)
-        counts = [0] * (n + 1)
-        for start in range(n):
-            if seen[start]:
-                continue
-            length = 0
-            j = start
-            while not seen[j]:
-                seen[j] = 1
-                j = img[j]
-                length += 1
-            counts[length] += 1
-        for length in range(1, n + 1):
-            c = counts[length]
-            if c:
-                sums[length] += c
-                squares[length] += c * c
+    for done in range(0, samples, rows):
+        count = min(rows, samples - done)
+        # row by row the same stream as one (samples, n) draw
+        batch = rng.permuted(np.tile(np.arange(n), (count, 1)), axis=1)
+        # row s shifted onto points s*n..s*n+n-1: one permutation whose
+        # cycles are exactly the rows' cycles
+        block = (batch + n * np.arange(count)[:, None]).ravel()
+        points, lengths, starts = Permutation(block).layout
+        slot = points[starts] // n * (n + 1) + lengths
+        counts = np.bincount(slot, minlength=count * (n + 1)).reshape(count, n + 1)
+        sums = [a + b for a, b in zip(sums, counts.sum(axis=0).tolist())]
+        squares = [a + b for a, b in zip(squares, (counts * counts).sum(axis=0).tolist())]
     stats = []
     for length in range(1, n + 1):
         mean = sums[length] / samples
@@ -431,7 +426,7 @@ def sweep_csv(result: SweepResult, config: SweepConfig) -> str:
 def plot_data_text(result: SweepResult, config: SweepConfig) -> str:
     """Companion per-size envelope of a sweep plus a tool-neutral recipe
     for reproducing the standard figure layout."""
-    summary = summarize_by_size(result, k=config.shape.k)
+    summary = summarize_by_size(result)
     lines = _metadata_lines(config)
     lines += [
         "# figure recipe: x = subsets of the sweep CSV in row order",

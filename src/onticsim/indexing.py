@@ -15,8 +15,6 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .errors import ConfigError, IndexOutOfRange
 
 __all__ = [
@@ -59,18 +57,6 @@ class FactorizationShape:
         for pos in range(self.k - 2, -1, -1):
             out[pos] = out[pos + 1] * self.dims[pos + 1]
         return tuple(out)
-
-    @cached_property
-    def _digit_table(self) -> np.ndarray:
-        idx = np.arange(self.total)
-        cols = [(idx // s) % d for s, d in zip(self.strides, self.dims)]
-        table = np.stack(cols, axis=1)
-        table.setflags(write=False)
-        return table
-
-    def digit_table(self) -> np.ndarray:
-        """Read-only (N, K) table; row i equals decode(self, i)."""
-        return self._digit_table
 
     @classmethod
     def parse(cls, text: str) -> "FactorizationShape":

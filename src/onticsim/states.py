@@ -65,7 +65,7 @@ class PureState:
                 f"amplitude vector must have length {self.shape.total}, got {arr.shape}"
             )
         norm = np.linalg.norm(arr)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise NumericViolation(f"state norm {norm!r} is not 1 within 1e-12")
         arr.setflags(write=False)
         object.__setattr__(self, "amps", arr)
@@ -118,10 +118,10 @@ class DensityMatrix:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ConfigError("density matrix must be square")
         asym = np.abs(arr - arr.conj().T).max()
-        if asym > 1e-12:
+        if not asym <= 1e-12:
             raise NotHermitian(f"asymmetry {asym} exceeds 1e-12")
         tr = complex(arr.trace())
-        if abs(tr - 1.0) > 1e-10:
+        if not abs(tr - 1.0) <= 1e-10:
             raise NumericViolation(f"trace {tr} is not 1 within 1e-10")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)

@@ -17,7 +17,7 @@ from onticsim.entropy import (
 from onticsim.errors import AlphaOne, DomainError, NotHermitian, NumericViolation
 from onticsim.indexing import FactorizationShape, SubsystemMask
 from onticsim.reduction import purity, reduced_density
-from onticsim.states import DensityMatrix, state_from_ontic
+from onticsim.states import DensityMatrix, PureState, state_from_ontic
 
 
 def random_spectra(count, dim, seed=0):
@@ -168,6 +168,28 @@ class TestSpectrumType:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(NumericViolation):
             Spectrum(np.array([1.0, -1e-6]))
+
+
+NAN = float("nan")
+
+
+class TestNanRejected:
+    # a NaN compares False with everything, so each check must be written
+    # to fail unless the value is within its tolerance
+    @pytest.mark.parametrize(
+        "build, error",
+        [
+            (lambda: PureState(np.array([NAN, 0, 0, 0]), FactorizationShape((2, 2))),
+             NumericViolation),
+            (lambda: DensityMatrix(np.array([[NAN, 0], [0, 0.5]])), NotHermitian),
+            (lambda: Spectrum(np.array([NAN, 0.5])), NumericViolation),
+            (lambda: spectrum_of(np.array([[NAN, 0], [0, 0.5]])), NotHermitian),
+        ],
+        ids=["PureState", "DensityMatrix", "Spectrum", "spectrum_of"],
+    )
+    def test_nan_fails_the_check(self, build, error):
+        with pytest.raises(error):
+            build()
 
 
 class TestCrossPaths:

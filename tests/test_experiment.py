@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,9 @@ from onticsim.bitstate import OnticVector, popcount, random_ontic
 from onticsim.entropy import collision_entropy
 from onticsim.errors import ConfigError, EmptyInput
 from onticsim.experiment import (
+    CENSUS_BATCH_POINTS,
+    CycleCensus,
+    CycleCountStat,
     SweepConfig,
     SweepResult,
     _enumerate_masks,
@@ -62,7 +66,7 @@ def columns(result):
 
 
 def assert_same_result(a, b):
-    for field in ("masks", "sizes", "purity", "s2_bits"):
+    for field in ("masks", "sizes", "purity", "s2_bits", "k"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
@@ -369,7 +373,7 @@ class TestSummaries:
     def test_symmetric_sizes_agree(self):
         shape = FactorizationShape((2,) * 6)
         result = run_sweep(SweepConfig(shape=shape, num_states=3, seed=12))
-        summary = summarize_by_size(result, k=6)
+        summary = summarize_by_size(result)
         rows = {row.size: row for row in summary.by_size}
         for a in (1, 2):
             assert rows[a].mean_s2 == pytest.approx(rows[6 - a].mean_s2, abs=1e-11)
@@ -381,9 +385,9 @@ class TestSummaries:
         config = SweepConfig(shape=shape, ontic_vectors=(bs("1000"),), subset_sizes=(1,))
         result = run_sweep(config)
         first = SweepResult(
-            result.masks[:1], result.sizes[:1], result.purity[:, :1], result.s2_bits[:, :1]
+            result.masks[:1], result.sizes[:1], result.purity[:, :1], result.s2_bits[:, :1], k=2
         )
-        summary = summarize_by_size(first, k=2)
+        summary = summarize_by_size(first)
         assert len(summary.by_size) == 1
         row = summary.by_size[0]
         assert row.count == 1
@@ -393,16 +397,16 @@ class TestSummaries:
     def test_empty_input(self):
         empty = SweepResult(
             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-            np.empty((1, 0)), np.empty((1, 0)),
+            np.empty((1, 0)), np.empty((1, 0)), k=2,
         )
         with pytest.raises(EmptyInput):
-            summarize_by_size(empty, k=2)
+            summarize_by_size(empty)
 
     def test_asymmetry_reported(self):
         shape = FactorizationShape((2, 2, 2))
         config = SweepConfig(shape=shape, num_states=2, seed=13)
         result = run_sweep(config)
-        assert summarize_by_size(result, k=3).max_complement_asymmetry < 1e-12
+        assert summarize_by_size(result).max_complement_asymmetry < 1e-12
         # the copied columns replaced by the purity on their own layout: the
         # summary then compares two separately computed sides
         stack = sweep_stack(config)
@@ -414,7 +418,17 @@ class TestSummaries:
         s2 = np.array([[collision_entropy(p) for p in row] for row in own.tolist()])
         separate = dataclasses.replace(result, purity=own, s2_bits=s2)
         assert own.shape == (2, 6) and len(copied) == 3
-        assert summarize_by_size(separate, k=3).max_complement_asymmetry < 1e-12
+        assert summarize_by_size(separate).max_complement_asymmetry < 1e-12
+
+    def test_asymmetry_pairs_by_the_sweeps_own_k(self):
+        shape = FactorizationShape((2,) * 6)
+        result = run_sweep(SweepConfig(shape=shape, num_states=2, seed=25))
+        assert result.k == 6
+        _, comp = copied_sides(result, 6)[0]
+        s2 = result.s2_bits.copy()
+        s2[:, columns(result)[comp]] += 0.5
+        raised = dataclasses.replace(result, s2_bits=s2)
+        assert summarize_by_size(raised).max_complement_asymmetry == pytest.approx(0.5, abs=1e-12)
 
 
 class TestCsvOutput:
@@ -531,7 +545,79 @@ class TestTimeSeries:
             assert abs(a - b) < 1e-12
 
 
+def census_by_row_walk(n, samples, seed):
+    """The census from one (samples, n) draw and a cycle walk of each row:
+    the reference the batched census must equal exactly."""
+    rng = np.random.default_rng(seed)
+    perms = rng.permuted(np.tile(np.arange(n), (samples, 1)), axis=1)
+    sums = [0] * (n + 1)
+    squares = [0] * (n + 1)
+    for row in perms:
+        img = row.tolist()
+        seen = bytearray(n)
+        counts = [0] * (n + 1)
+        for start in range(n):
+            if seen[start]:
+                continue
+            length = 0
+            j = start
+            while not seen[j]:
+                seen[j] = 1
+                j = img[j]
+                length += 1
+            counts[length] += 1
+        for length in range(1, n + 1):
+            c = counts[length]
+            if c:
+                sums[length] += c
+                squares[length] += c * c
+    stats = []
+    for length in range(1, n + 1):
+        mean = sums[length] / samples
+        if samples > 1:
+            var = (squares[length] - samples * mean * mean) / (samples - 1)
+            se = math.sqrt(max(var, 0.0) / samples)
+        else:
+            se = 0.0
+        expected = 1.0 / length
+        flagged = length <= 8 and abs(mean - expected) > 3.0 * se
+        stats.append(CycleCountStat(length, mean, se, expected, flagged))
+    return CycleCensus(n, samples, tuple(stats))
+
+
 class TestCycleCensus:
+    @pytest.mark.parametrize(
+        "n, samples, seed",
+        [
+            (1, 5, 0),
+            (2, 3000, 1),
+            # 3000 is not a multiple of the 819 rows a batch holds at n = 20
+            (20, 3000, 2),
+            (20, 1, 3),
+            (33, 1000, 4),
+            # one sample is more points than a batch
+            (CENSUS_BATCH_POINTS + 5, 3, 5),
+        ],
+    )
+    def test_equals_row_walk(self, n, samples, seed):
+        assert run_cycle_census(n, samples, seed) == census_by_row_walk(n, samples, seed)
+
+    @pytest.mark.parametrize("batch_points", [1, 7, 64])
+    def test_batch_size_does_not_change_the_census(self, monkeypatch, batch_points):
+        whole = run_cycle_census(9, 200, seed=6)
+        monkeypatch.setattr(onticsim.experiment, "CENSUS_BATCH_POINTS", batch_points)
+        assert run_cycle_census(9, 200, seed=6) == whole
+
+    def test_memory_does_not_grow_with_samples(self):
+        # one (50_000, 20) int64 draw alone would be 8 MB
+        tracemalloc.start()
+        try:
+            run_cycle_census(20, 50_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
     def test_single_point(self):
         census = run_cycle_census(1, samples=50, seed=21)
         assert census.stats[0].mean == 1.0
