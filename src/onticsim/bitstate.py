@@ -153,10 +153,10 @@ def random_ontic(
     if weight is not None:
         if not 0 < weight < n:
             raise ConfigError(f"weight must be in (0, {n}), got {weight}")
-        bits = 0
-        for pos in rng.sample(range(n), weight):
-            bits |= 1 << pos
-        return OnticVector(bits, n)
+        # bit pos of the pattern is element n - 1 - pos
+        arr = np.zeros(n, dtype=np.uint8)
+        arr[n - 1 - np.array(rng.sample(range(n), weight))] = 1
+        return OnticVector.from_array(arr)
     full = (1 << n) - 1
     bits = rng.getrandbits(n)
     while bits == 0 or bits == full:

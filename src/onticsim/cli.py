@@ -14,11 +14,11 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import __version__
 from .bitstate import OnticVector, inner_ontic, overlap_standard, popcount, random_ontic
 from .errors import ConfigError, NumericViolation, OnticsimError
 from .experiment import (
     SweepConfig,
-    _tool_version,
     plot_data_text,
     run_cycle_census,
     run_sweep,
@@ -79,6 +79,8 @@ def _parse_subset_policy(text: str) -> tuple[tuple[int, ...] | None, int | None]
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     shape = FactorizationShape.parse(args.shape)
+    if (args.basis == "energy") != bool(args.generator):
+        raise ConfigError("--basis energy and --generator must be given together")
     generator = (
         Permutation.parse(shape.total, args.generator) if args.generator else None
     )
@@ -90,7 +92,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         shape=shape,
         num_states=len(vectors) if vectors else args.states,
         seed=args.seed,
-        basis=args.basis,
         generator=generator,
         subset_sizes=sizes,
         samples_per_size=samples,
@@ -116,6 +117,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
+    if args.t_max < 0:
+        raise ConfigError(f"--t-max must be >= 0, got {args.t_max}")
     shape = FactorizationShape.parse(args.shape)
     g = Permutation.parse(shape.total, args.generator)
     mask = SubsystemMask.parse(shape, args.mask)
@@ -127,7 +130,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         shape, q, g, mask, range(args.t_max + 1), allow_wrap=args.allow_wrap
     )
     lines = [
-        f"# tool=onticsim {_tool_version()}",
+        f"# tool=onticsim {__version__}",
         f"# shape={shape}",
         f"# ontic={q.serialize()}",
         f"# generator={g.cycle_string()}",
@@ -142,7 +145,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 def cmd_cycles(args: argparse.Namespace) -> int:
     census = run_cycle_census(args.n, args.samples, args.seed)
     lines = [
-        f"# tool=onticsim {_tool_version()}",
+        f"# tool=onticsim {__version__}",
         f"# n={census.n}",
         f"# samples={census.samples}",
         "length,mean,std_error,expected,flagged",

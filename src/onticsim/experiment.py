@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__
 from .bitstate import OnticVector, random_ontic
 from .entropy import collision_entropy
 from .errors import ConfigError, EmptyInput, SizeMismatch
@@ -54,13 +55,13 @@ class SweepConfig:
     instead of enumerating them all.  ``density`` switches state sampling
     from uniform-over-nontrivial-subsets to fixed popcount round(density*N).
     ``ontic_vectors`` bypasses sampling entirely, for reproducing a run
-    from explicit patterns.
+    from explicit patterns.  A ``generator`` puts the states in the energy
+    basis that diagonalizes it; without one they stay in the ontic basis.
     """
 
     shape: FactorizationShape
     num_states: int = 10
     seed: int = 0
-    basis: str = "ontic"
     generator: Permutation | None = None
     subset_sizes: tuple[int, ...] | None = None
     samples_per_size: int | None = None
@@ -83,17 +84,10 @@ class SweepConfig:
                 raise ConfigError("density has no effect with explicit vectors")
         elif self.num_states < 1:
             raise ConfigError(f"num_states must be >= 1, got {self.num_states}")
-        if self.basis not in ("ontic", "energy"):
-            raise ConfigError(f"basis must be 'ontic' or 'energy', got {self.basis!r}")
-        if self.basis == "energy":
-            if self.generator is None:
-                raise ConfigError("energy basis needs a generator permutation")
-            if self.generator.n != shape.total:
-                raise ConfigError(
-                    f"generator size {self.generator.n} != shape total {shape.total}"
-                )
-        elif self.generator is not None:
-            raise ConfigError("a generator is only meaningful with basis='energy'")
+        if self.generator is not None and self.generator.n != shape.total:
+            raise ConfigError(
+                f"generator size {self.generator.n} != shape total {shape.total}"
+            )
         if self.subset_sizes is not None:
             if not self.subset_sizes:
                 raise ConfigError("subset_sizes must name at least one size")
@@ -104,6 +98,10 @@ class SweepConfig:
             raise ConfigError("samples_per_size must be >= 1")
         if self.density is not None and not 0.0 < self.density < 1.0:
             raise ConfigError(f"density must be in (0, 1), got {self.density}")
+
+    @property
+    def basis(self) -> str:
+        return "ontic" if self.generator is None else "energy"
 
     @property
     def effective_num_states(self) -> int:
@@ -139,18 +137,19 @@ class SweepResult:
     the ``j``-th mask in enumeration order (by size, then value).
 
     ``masks`` and ``sizes`` are the ``(M,)`` mask values and popcounts;
-    ``purity`` and ``s2_bits`` are ``(S, M)``.  The arrays are read-only.
-    ``k`` is the number of factor positions the masks address.
+    ``purity`` and ``s2_bits`` are ``(S, M)``.  ``source[j]`` is the column
+    whose kernel call produced column ``j``'s purity: ``j`` itself, or the
+    column of its complement enumerated earlier.  The arrays are read-only.
     """
 
     masks: np.ndarray
     sizes: np.ndarray
     purity: np.ndarray
     s2_bits: np.ndarray
-    k: int
+    source: np.ndarray
 
     def __post_init__(self) -> None:
-        for values in (self.masks, self.sizes, self.purity, self.s2_bits):
+        for values in (self.masks, self.sizes, self.purity, self.s2_bits, self.source):
             values.setflags(write=False)
 
 
@@ -177,14 +176,14 @@ def _mask_of_rank(k: int, a: int, rank: int) -> int:
     return value
 
 
-def _enumerate_masks(config: SweepConfig, rng: random.Random) -> list[SubsystemMask]:
+def _enumerate_masks(config: SweepConfig, rng: random.Random) -> list[int]:
     shape = config.shape
     sizes = (
         sorted(set(config.subset_sizes))
         if config.subset_sizes is not None
         else range(1, shape.k)
     )
-    chosen: list[SubsystemMask] = []
+    chosen: list[int] = []
     for a in sizes:
         count = math.comb(shape.k, a)
         ranks = range(count)
@@ -194,13 +193,13 @@ def _enumerate_masks(config: SweepConfig, rng: random.Random) -> list[SubsystemM
             ranks = sorted(rng.sample(ranks, config.samples_per_size))
         for rank in ranks:
             value = _mask_of_rank(shape.k, a, rank)
-            mask = SubsystemMask(value, shape)
-            if min(mask.dim, shape.total // mask.dim) > GRAM_DIM_CAP:
+            dim = math.prod(d for p, d in enumerate(shape.dims) if value >> p & 1)
+            if min(dim, shape.total // dim) > GRAM_DIM_CAP:
                 raise ConfigError(
-                    f"mask 0b{value:b} needs a {min(mask.dim, shape.total // mask.dim)}-dim "
+                    f"mask 0b{value:b} needs a {min(dim, shape.total // dim)}-dim "
                     f"Gram matrix, over the budget {GRAM_DIM_CAP}"
                 )
-            chosen.append(mask)
+            chosen.append(value)
     return chosen
 
 
@@ -214,33 +213,33 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     rng = random.Random(config.seed)
     vectors = _resolve_vectors(config, rng)
     states = [state_from_ontic(q, config.shape) for q in vectors]
-    if config.basis == "energy":
+    if config.generator is not None:
         basis = energy_basis(config.generator)
         states = [basis.transform(psi) for psi in states]
     masks = _enumerate_masks(config, rng)
     # float64 in the ontic basis, complex128 in the energy basis
     stack = np.stack([psi.amps for psi in states])
-    purities = np.empty((len(states), len(masks)))
     # a pure state gives a subsystem and its complement the same Schmidt
     # coefficients, so the mask enumerated first of a pair is computed and
     # its complement copies that column
     full = (1 << config.shape.k) - 1
-    computed: dict[int, int] = {}
-    for i, mask in enumerate(masks):
-        column = computed.get(full ^ mask.mask)
-        if column is None:
-            computed[mask.mask] = i
-            purities[:, i] = purity(stack, mask)
-        else:
-            purities[:, i] = purities[:, column]
+    column = {mask: j for j, mask in enumerate(masks)}
+    source = np.array(
+        [min(j, column.get(full ^ mask, j)) for j, mask in enumerate(masks)],
+        dtype=np.int64,
+    )
+    purities = np.empty((len(states), len(masks)))
+    for j in np.flatnonzero(source == np.arange(len(masks))).tolist():
+        purities[:, j] = purity(stack, SubsystemMask(masks[j], config.shape))
+    purities = purities[:, source]
     # per value: np.log2 would differ from math.log2 in the last bit of a few
     s2 = np.array([collision_entropy(p) for p in purities.ravel().tolist()])
     return SweepResult(
-        masks=np.array([mask.mask for mask in masks]),
-        sizes=np.array([mask.size for mask in masks]),
+        masks=np.array(masks),
+        sizes=np.array([mask.bit_count() for mask in masks]),
         purity=purities,
         s2_bits=s2.reshape(purities.shape),
-        k=config.shape.k,
+        source=source,
     )
 
 
@@ -269,13 +268,10 @@ def summarize_by_size(result: SweepResult) -> SweepSummary:
     s2 = result.s2_bits
     if s2.size == 0:
         raise EmptyInput("no sweep results to summarize")
-    full = (1 << result.k) - 1
-    column = {m: j for j, m in enumerate(result.masks.tolist())}
-    pairs = [(j, column[full ^ m]) for m, j in column.items() if full ^ m in column]
+    copies = np.flatnonzero(result.source != np.arange(result.source.size))
     asym = 0.0
-    if pairs:
-        first, second = np.array(pairs).T
-        asym = float(np.abs(s2[:, first] - s2[:, second]).max())
+    if copies.size:
+        asym = float(np.abs(s2[:, copies] - s2[:, result.source[copies]]).max())
 
     rows = []
     for a in np.unique(result.sizes).tolist():
@@ -360,6 +356,8 @@ def run_cycle_census(n: int, samples: int, seed: int | None = 0) -> CycleCensus:
         raise ConfigError(f"size must be >= 1, got {n}")
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples}")
+    if seed is not None and seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     rows = max(1, CENSUS_BATCH_POINTS // n)
     sums = [0] * (n + 1)
@@ -390,15 +388,9 @@ def run_cycle_census(n: int, samples: int, seed: int | None = 0) -> CycleCensus:
     return CycleCensus(n, samples, tuple(stats))
 
 
-def _tool_version() -> str:
-    from onticsim import __version__
-
-    return __version__
-
-
 def _metadata_lines(config: SweepConfig) -> list[str]:
     lines = [
-        f"# tool=onticsim {_tool_version()}",
+        f"# tool=onticsim {__version__}",
         f"# shape={config.shape}",
         f"# seed={config.seed}",
         f"# states={config.effective_num_states}",

@@ -144,6 +144,19 @@ class TestRandomOntic:
         for _ in range(100):
             assert popcount(random_ontic(20, rng=rng, weight=7)) == 7
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 61, 1000])
+    def test_fixed_weight_matches_bit_loop(self, n):
+        # the bits OR-ed into one integer, one drawn position at a time
+        for seed in (0, 1, 99):
+            for weight in sorted({1, n // 3 or 1, n // 2, n - 1}):
+                ref_rng = random.Random(seed)
+                bits = 0
+                for pos in ref_rng.sample(range(n), weight):
+                    bits |= 1 << pos
+                rng = random.Random(seed)
+                assert random_ontic(n, rng=rng, weight=weight) == OnticVector(bits, n)
+                assert rng.getstate() == ref_rng.getstate()
+
     def test_bad_weight(self):
         with pytest.raises(ConfigError):
             random_ontic(4, 0, weight=0)

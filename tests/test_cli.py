@@ -95,6 +95,14 @@ class TestCycles:
         data = [ln for ln in lines if ln and not ln.startswith(("#", "length"))]
         assert len(data) == 6
 
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "cycles", "--n", "3", "--samples", "2", "--seed", "-1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+
     def test_version_line(self, capsys):
         _, out, _ = run_cli(capsys, "cycles", "--n", "4", "--samples", "10")
         assert out.split("\n")[0] == f"# tool=onticsim {__version__}"
@@ -269,6 +277,14 @@ class TestSweep:
         )
         assert code == 2
 
+    def test_energy_without_generator_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--shape", "2x2", "--basis", "energy"
+        )
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+
 
 class TestEvolve:
     def test_series(self, capsys):
@@ -303,6 +319,16 @@ class TestEvolve:
             "--mask", "1", "--ontic", "4:0x9", "--t-max", "5",
         )
         assert code == 2
+
+    def test_negative_t_max_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "evolve", "--shape", "2x2", "--generator", "(0 1)",
+            "--mask", "1", "--ontic", "4:0x9", "--t-max", "-1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
 
     def test_out_of_range_purity_exits_3(self, capsys, monkeypatch):
         kernel = onticsim.reduction._stack_purities

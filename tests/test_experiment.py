@@ -66,7 +66,7 @@ def columns(result):
 
 
 def assert_same_result(a, b):
-    for field in ("masks", "sizes", "purity", "s2_bits", "k"):
+    for field in ("masks", "sizes", "purity", "s2_bits", "source"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
@@ -100,17 +100,6 @@ def assert_complements_match_own_layout(result, config, tol):
 
 
 class TestSweepConfig:
-    def test_validates_basis(self):
-        shape = FactorizationShape((2, 2))
-        with pytest.raises(ConfigError):
-            SweepConfig(shape=shape, basis="fourier").validate()
-        with pytest.raises(ConfigError):
-            SweepConfig(shape=shape, basis="energy").validate()
-        with pytest.raises(ConfigError):
-            SweepConfig(
-                shape=shape, basis="ontic", generator=Permutation.identity(4)
-            ).validate()
-
     def test_validates_sizes(self):
         shape = FactorizationShape((2, 2, 2))
         with pytest.raises(ConfigError):
@@ -201,7 +190,7 @@ class TestRunSweep:
             for s in (None, 1, 3, 50):
                 config = SweepConfig(shape=shape, seed=seed, samples_per_size=s)
                 rng, ref_rng = random.Random(seed), random.Random(seed)
-                drawn = [m.mask for m in _enumerate_masks(config, rng)]
+                drawn = _enumerate_masks(config, rng)
                 expected = []
                 for a in range(1, k):
                     masks = sorted(
@@ -235,7 +224,7 @@ class TestRunSweep:
         shape = FactorizationShape((2,) * 5)
         g = random_permutation(32, seed=9)
         config = SweepConfig(
-            shape=shape, num_states=3, seed=9, basis="energy", generator=g
+            shape=shape, num_states=3, seed=9, generator=g
         )
         result = run_sweep(config)
         pairs = assert_complements_match_own_layout(result, config, 1e-11)
@@ -249,7 +238,6 @@ class TestRunSweep:
                 shape=shape,
                 num_states=2,
                 seed=10,
-                basis="energy",
                 generator=Permutation.identity(16),
             )
         )
@@ -290,8 +278,7 @@ class TestRunSweep:
         monkeypatch.setattr(onticsim.experiment, "purity", counted)
         shape = FactorizationShape((2, 2, 2))
         generator = Permutation.from_cycles(8, [(0, 3, 5)]) if basis == "energy" else None
-        run_sweep(SweepConfig(shape=shape, num_states=3, seed=4,
-                              basis=basis, generator=generator))
+        run_sweep(SweepConfig(shape=shape, num_states=3, seed=4, generator=generator))
         dtype = np.float64 if basis == "ontic" else np.complex128
         assert calls == [((3, 8), dtype)] * 3
 
@@ -342,13 +329,37 @@ class TestRunSweep:
         assert calls == [m for i, m in enumerate(drawn) if full ^ m not in drawn[:i]]
         assert len(calls) == len(unpaired) + len(pairs)
 
+    @pytest.mark.parametrize(
+        "dims, samples", [((2,) * 6, None), ((2, 3, 2, 3, 2), None), ((2,) * 8, 5)]
+    )
+    def test_source_names_the_computed_side_of_each_pair(self, monkeypatch, dims, samples):
+        calls = []
+
+        def counted(stack, mask):
+            calls.append(mask.mask)
+            return purity(stack, mask)
+
+        monkeypatch.setattr(onticsim.experiment, "purity", counted)
+        shape = FactorizationShape(dims)
+        result = run_sweep(
+            SweepConfig(shape=shape, num_states=2, seed=19, samples_per_size=samples)
+        )
+        masks = result.masks.tolist()
+        column = columns(result)
+        expected = list(range(len(masks)))
+        for mask, comp in copied_sides(result, shape.k):
+            expected[column[comp]] = column[mask]
+        assert result.source.tolist() == expected
+        assert expected != list(range(len(masks)))
+        assert calls == [m for j, m in enumerate(masks) if expected[j] == j]
+        assert not result.source.flags.writeable
+
     @pytest.mark.parametrize("dims", [(2, 3, 2, 3, 2), (2,) * 6])
     @pytest.mark.parametrize("basis", ["ontic", "energy"])
     def test_rows_match_direct_purity(self, dims, basis):
         shape = FactorizationShape(dims)
         generator = random_permutation(shape.total, seed=17) if basis == "energy" else None
-        config = SweepConfig(shape=shape, num_states=3, seed=17, basis=basis,
-                             generator=generator)
+        config = SweepConfig(shape=shape, num_states=3, seed=17, generator=generator)
         result = run_sweep(config)
         stack = sweep_stack(config)
         assert result.purity.shape == (3, (1 << shape.k) - 2)
@@ -385,7 +396,8 @@ class TestSummaries:
         config = SweepConfig(shape=shape, ontic_vectors=(bs("1000"),), subset_sizes=(1,))
         result = run_sweep(config)
         first = SweepResult(
-            result.masks[:1], result.sizes[:1], result.purity[:, :1], result.s2_bits[:, :1], k=2
+            result.masks[:1], result.sizes[:1], result.purity[:, :1], result.s2_bits[:, :1],
+            source=result.source[:1],
         )
         summary = summarize_by_size(first)
         assert len(summary.by_size) == 1
@@ -397,7 +409,7 @@ class TestSummaries:
     def test_empty_input(self):
         empty = SweepResult(
             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-            np.empty((1, 0)), np.empty((1, 0)), k=2,
+            np.empty((1, 0)), np.empty((1, 0)), source=np.empty(0, dtype=np.int64),
         )
         with pytest.raises(EmptyInput):
             summarize_by_size(empty)
@@ -420,10 +432,9 @@ class TestSummaries:
         assert own.shape == (2, 6) and len(copied) == 3
         assert summarize_by_size(separate).max_complement_asymmetry < 1e-12
 
-    def test_asymmetry_pairs_by_the_sweeps_own_k(self):
+    def test_asymmetry_reads_a_raised_copied_column(self):
         shape = FactorizationShape((2,) * 6)
         result = run_sweep(SweepConfig(shape=shape, num_states=2, seed=25))
-        assert result.k == 6
         _, comp = copied_sides(result, 6)[0]
         s2 = result.s2_bits.copy()
         s2[:, columns(result)[comp]] += 0.5

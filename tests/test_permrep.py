@@ -186,6 +186,38 @@ class TestPowerOracle:
                 start += length
             assert np.array_equal(energy_basis(g).transform(psi).amps, expected)
 
+    def test_inverse_transform_matches_concatenated_cycles(self):
+        rng = np.random.default_rng(24)
+        for g in oracle_cases():
+            if g.n == 1:
+                continue
+            order = np.concatenate([np.asarray(c, dtype=np.int64) for c in g.cycles])
+            amps = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
+            psi = PureState(amps / np.linalg.norm(amps), flat_shape(g.n))
+            expected = np.empty(g.n, dtype=np.complex128)
+            start = 0
+            for length in (len(c) for c in g.cycles):
+                block = slice(start, start + length)
+                expected[order[block]] = np.fft.ifft(psi.amps[block]) * math.sqrt(length)
+                start += length
+            assert np.array_equal(energy_basis(g).inverse_transform(psi).amps, expected)
+
+    def test_matrix_matches_concatenated_cycles(self):
+        for g in oracle_cases():
+            if g.n > onticsim.permrep.MATRIX_DIM_CAP:
+                continue
+            # block by block against the reference, then zero elsewhere: one
+            # dense matrix in memory at n = 4096, not two
+            order = np.concatenate([np.asarray(c, dtype=np.int64) for c in g.cycles])
+            mat = energy_basis(g).matrix()
+            start = 0
+            for length in (len(c) for c in g.cycles):
+                block = slice(start, start + length)
+                assert np.array_equal(mat[block, order[block]], fourier_block(length))
+                mat[block, order[block]] = 0
+                start += length
+            assert not mat.any()
+
 
 class TestDimensionCap:
     def test_permutation_matrix(self, monkeypatch):
@@ -207,6 +239,10 @@ class TestRandomPermutation:
 
     def test_deterministic(self):
         assert random_permutation(20, seed=9) == random_permutation(20, seed=9)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError):
+            random_permutation(4, seed=-1)
 
     def test_cycle_counts_near_expected(self):
         # mean number of l-cycles over uniform permutations is 1/l
