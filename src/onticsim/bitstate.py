@@ -148,6 +148,8 @@ def random_ontic(
     """
     if n < 2:
         raise ConfigError(f"need at least 2 elements, got n={n}")
+    if seed is not None and seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if rng is None:
         rng = random.Random(seed)
     if weight is not None:

@@ -5,8 +5,8 @@ Subcommands: ``sweep`` (subsystem entropies over random states), ``evolve``
 statistics of random permutations), ``overlap`` (state overlap of two bit
 patterns), ``area`` (orthant sphere area and the state-count lower bound).
 
-Exit codes: 0 success, 2 configuration error, 3 numeric-invariant
-violation.
+Exit codes: 0 success, 2 configuration error or a run that does not fit
+in memory, 3 numeric-invariant violation.
 """
 
 from __future__ import annotations
@@ -242,6 +242,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except OnticsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'MemoryError'}", file=sys.stderr)
         return 2
 
 

@@ -78,13 +78,18 @@ def spectrum_of(rho) -> Spectrum:
     return Spectrum(np.linalg.eigvalsh(m))
 
 
-def collision_entropy(purity: float) -> float:
-    """-log2 of the purity: 0 for a pure state, log2 d at maximal mixing."""
-    if not purity > 0.0:
-        raise DomainError(f"purity must be positive, got {purity}")
-    if purity > 1.0 + 1e-9:
-        raise DomainError(f"purity {purity} exceeds 1 beyond tolerance")
-    return -math.log2(min(purity, 1.0))
+def collision_entropy(purity: float | np.ndarray) -> float | np.ndarray:
+    """-log2 of the purity, 0 for a pure state and log2 d at maximal mixing:
+    a float for one purity in (0, 1 + 1e-9], a float64 array of the same
+    shape for an array of them."""
+    p = np.asarray(purity, dtype=np.float64)
+    if not (p > 0.0).all():
+        raise DomainError(f"purity must be positive, got {p[~(p > 0.0)][0]}")
+    if (p > 1.0 + 1e-9).any():
+        raise DomainError(f"purity {p[p > 1.0 + 1e-9][0]} exceeds 1 beyond tolerance")
+    # 0.0 - x rather than -x: a pure subsystem gets +0, not -0
+    s2 = 0.0 - np.log2(np.minimum(p, 1.0))
+    return float(s2) if s2.ndim == 0 else s2
 
 
 def renyi_entropy(spec, alpha: float) -> float:

@@ -72,6 +72,8 @@ class SweepConfig:
         shape = self.shape
         if shape.k < 2:
             raise ConfigError("a sweep needs at least two factors")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.ontic_vectors is not None:
             if len(self.ontic_vectors) < 1:
                 raise ConfigError("ontic_vectors must contain at least one vector")
@@ -232,13 +234,11 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     for j in np.flatnonzero(source == np.arange(len(masks))).tolist():
         purities[:, j] = purity(stack, SubsystemMask(masks[j], config.shape))
     purities = purities[:, source]
-    # per value: np.log2 would differ from math.log2 in the last bit of a few
-    s2 = np.array([collision_entropy(p) for p in purities.ravel().tolist()])
     return SweepResult(
         masks=np.array(masks),
         sizes=np.array([mask.bit_count() for mask in masks]),
         purity=purities,
-        s2_bits=s2.reshape(purities.shape),
+        s2_bits=collision_entropy(purities),
         source=source,
     )
 
@@ -274,7 +274,7 @@ def summarize_by_size(result: SweepResult) -> SweepSummary:
         asym = float(np.abs(s2[:, copies] - s2[:, result.source[copies]]).max())
 
     rows = []
-    for a in np.unique(result.sizes).tolist():
+    for a in sorted(set(result.sizes.tolist())):
         # state-major, like the CSV rows of this size
         block = s2[:, result.sizes == a]
         vals = block.ravel()
@@ -320,11 +320,8 @@ def run_time_series(
                 "pass allow_wrap to fold"
             )
     psi0 = state_from_ontic(q, shape)
-    series = []
-    for t in ts:
-        psi_t = apply_permutation(g, psi0, t)
-        series.append((t, collision_entropy(purity(psi_t, mask))))
-    return series
+    purities = [purity(apply_permutation(g, psi0, t), mask) for t in ts]
+    return list(zip(ts, collision_entropy(np.array(purities)).tolist()))
 
 
 @dataclass(frozen=True)

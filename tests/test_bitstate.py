@@ -163,6 +163,11 @@ class TestRandomOntic:
         with pytest.raises(ConfigError):
             random_ontic(4, 0, weight=4)
 
+    def test_negative_seed_rejected(self):
+        # random.Random would seed with the absolute value
+        with pytest.raises(ConfigError):
+            random_ontic(8, -3)
+
 
 class TestSerialization:
     def test_hex_round_trip(self):

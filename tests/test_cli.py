@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import onticsim.cli
 import onticsim.reduction
 from onticsim import __version__
 from onticsim.cli import main
@@ -260,6 +261,27 @@ class TestSweep:
         assert "numeric invariant violated" in err
         assert "Traceback" not in err
 
+    def test_pure_subsystems_print_plus_zero(self, tmp_path, capsys):
+        plot = tmp_path / "envelope.txt"
+        code, out, err = run_cli(
+            capsys, "sweep", "--shape", "2x2", "--ontic", "4:0xC",
+            "--plot-data", str(plot), "--summary",
+        )
+        assert code == 0
+        assert out.endswith("0,1,1,1,0\n0,2,1,1,0\n")
+        assert "1,2,0,0,0,0,0" in plot.read_text().splitlines()
+        assert "1 2 0.000000 0.000000 0.000000 0.000000 0.000000" in err
+        for text in (out, plot.read_text(), err):
+            assert "-0" not in text
+
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--shape", "2x2x2", "--states", "2", "--seed", "-3"
+        )
+        assert code == 2
+        assert out == ""
+        assert "seed" in err and "Traceback" not in err
+
     def test_subset_policy_garbage_exits_2(self, capsys):
         code, _, _ = run_cli(
             capsys, "sweep", "--shape", "2x2", "--subset-policy", "frob=1"
@@ -345,6 +367,16 @@ class TestEvolve:
         assert "numeric invariant violated" in err
         assert "Traceback" not in err
 
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "evolve", "--shape", "2x2", "--generator", "(0 1)",
+            "--mask", "1", "--seed", "-3", "--t-max", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "seed" in err and "Traceback" not in err
+
     def test_allow_wrap(self, capsys):
         code, _, _ = run_cli(
             capsys,
@@ -352,6 +384,29 @@ class TestEvolve:
             "--mask", "1", "--ontic", "4:0x9", "--t-max", "5", "--allow-wrap",
         )
         assert code == 0
+
+
+@pytest.mark.parametrize(
+    "run, argv, message",
+    [
+        ("run_sweep", ["sweep", "--shape", "2x2"], ""),
+        (
+            "run_time_series",
+            ["evolve", "--shape", "2x2", "--generator", "(0 1)", "--mask", "1"],
+            "Unable to allocate 8.00 TiB",
+        ),
+        ("run_cycle_census", ["cycles", "--n", "3"], "Unable to allocate 8.00 TiB"),
+    ],
+)
+def test_out_of_memory_exits_2(run, argv, message, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(onticsim.cli, run, exhausted)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: out of memory: {message or 'MemoryError'}\n"
 
 
 def readme_commands():

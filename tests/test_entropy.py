@@ -47,6 +47,34 @@ class TestCollisionEntropy:
     def test_slight_over_unity_clamps_to_zero(self):
         assert collision_entropy(1.0 + 5e-10) == 0.0
 
+    def test_scalar_gives_float(self):
+        assert type(collision_entropy(0.5)) is float
+        assert type(collision_entropy(np.float64(0.5))) is float
+
+    def test_pure_gives_plus_zero(self):
+        assert math.copysign(1.0, collision_entropy(1.0)) == 1.0
+        s2 = collision_entropy(np.array([1.0, 1.0 + 5e-10]))
+        assert np.all(np.copysign(1.0, s2) == 1.0)
+
+    def test_array_matches_scalar_formula(self):
+        # 1/d for every d up to 4096 plus a uniform grid and the clamp
+        # region, in a 2-D shape
+        p = np.concatenate([
+            1.0 / np.arange(1, 4097), np.linspace(1e-6, 1.0, 4095), [1.0 + 5e-10]
+        ]).reshape(64, 128)
+        s2 = collision_entropy(p)
+        assert s2.shape == p.shape and s2.dtype == np.float64
+        for got, value in zip(s2.ravel().tolist(), p.ravel().tolist()):
+            want = -math.log2(min(value, 1.0))
+            assert abs(got - want) <= 1e-15 * max(1.0, want)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, 1.0 + 2e-9])
+    def test_array_domain(self, bad):
+        with pytest.raises(DomainError):
+            collision_entropy(np.array([[0.5, 0.25], [bad, 1.0]]))
+        with pytest.raises(DomainError):
+            collision_entropy(bad)
+
 
 class TestRenyiEntropy:
     @pytest.mark.parametrize("d", [2, 3, 8, 16])

@@ -118,6 +118,11 @@ class TestSweepConfig:
         with pytest.raises(ConfigError):
             SweepConfig(shape=FactorizationShape((4,))).validate()
 
+    def test_rejects_negative_seed(self):
+        # random.Random would seed with the absolute value
+        with pytest.raises(ConfigError):
+            SweepConfig(shape=FactorizationShape((2, 2)), seed=-3).validate()
+
     def test_memory_budget(self, monkeypatch):
         monkeypatch.setattr(onticsim.experiment, "GRAM_DIM_CAP", 16)
         shape = FactorizationShape.parse("2^12")
@@ -369,6 +374,21 @@ class TestRunSweep:
                 direct = purity(row, SubsystemMask(mask, shape))
                 assert abs(result.purity[sid, j] - direct[0]) < 1e-12
 
+    @pytest.mark.parametrize("basis", ["ontic", "energy"])
+    def test_one_entropy_call_per_sweep(self, monkeypatch, basis):
+        calls = []
+
+        def counted(p):
+            calls.append(np.shape(p))
+            return collision_entropy(p)
+
+        monkeypatch.setattr(onticsim.experiment, "collision_entropy", counted)
+        shape = FactorizationShape((2, 3, 2))
+        generator = Permutation.from_cycles(12, [(0, 3, 5)]) if basis == "energy" else None
+        result = run_sweep(SweepConfig(shape=shape, num_states=3, seed=4, generator=generator))
+        assert calls == [(3, 6)]
+        assert np.array_equal(result.s2_bits, collision_entropy(result.purity))
+
     def test_records_satisfy_bounds(self):
         shape = FactorizationShape((2,) * 6)
         result = run_sweep(SweepConfig(shape=shape, num_states=3, seed=11))
@@ -511,6 +531,22 @@ class TestTimeSeries:
         mask = SubsystemMask.from_positions(shape, [0])
         with pytest.raises(ConfigError):
             run_time_series(shape, q, g, mask, range(3))
+
+    def test_one_entropy_call_per_series(self, monkeypatch):
+        calls = []
+
+        def counted(p):
+            calls.append(np.shape(p))
+            return collision_entropy(p)
+
+        monkeypatch.setattr(onticsim.experiment, "collision_entropy", counted)
+        shape = FactorizationShape((2, 2, 2))
+        g = Permutation.from_cycles(8, [[0, 1, 2, 3, 4, 5, 6]])
+        mask = SubsystemMask.from_positions(shape, [0, 2])
+        series = run_time_series(shape, bs("10110100"), g, mask, range(7))
+        assert calls == [(7,)]
+        assert [t for t, _ in series] == list(range(7))
+        assert all(type(s2) is float for _, s2 in series)
 
     def test_two_path_oracle(self):
         # evolving the subset then building the state must reproduce the
