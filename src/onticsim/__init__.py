@@ -1,7 +1,7 @@
 """Finite-dimensional quantum states from bit vectors: Hilbert-space
 factorization, subsystem entropies, and permutation evolutions."""
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .bitstate import (
     OnticVector,
@@ -73,6 +73,7 @@ from .reduction import (
     purity_from_density,
     reduced_density,
     reduced_density_bruteforce,
+    sweep_purities,
 )
 from .states import (
     DensityMatrix,

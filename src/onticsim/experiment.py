@@ -21,7 +21,7 @@ from .entropy import collision_entropy
 from .errors import ConfigError, EmptyInput, SizeMismatch
 from .indexing import FactorizationShape, SubsystemMask
 from .permrep import Permutation, apply_permutation, energy_basis
-from .reduction import purity
+from .reduction import purity, sweep_purities
 from .states import state_from_ontic
 
 __all__ = [
@@ -140,8 +140,9 @@ class SweepResult:
 
     ``masks`` and ``sizes`` are the ``(M,)`` mask values and popcounts;
     ``purity`` and ``s2_bits`` are ``(S, M)``.  ``source[j]`` is the column
-    whose kernel call produced column ``j``'s purity: ``j`` itself, or the
-    column of its complement enumerated earlier.  The arrays are read-only.
+    the kernel computed column ``j``'s purity in: ``j`` itself, or the
+    column of its complement, enumerated earlier or later, when the kernel
+    computes the pair on the complement's side.  The arrays are read-only.
     """
 
     masks: np.ndarray
@@ -221,19 +222,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     masks = _enumerate_masks(config, rng)
     # float64 in the ontic basis, complex128 in the energy basis
     stack = np.stack([psi.amps for psi in states])
-    # a pure state gives a subsystem and its complement the same Schmidt
-    # coefficients, so the mask enumerated first of a pair is computed and
-    # its complement copies that column
-    full = (1 << config.shape.k) - 1
-    column = {mask: j for j, mask in enumerate(masks)}
-    source = np.array(
-        [min(j, column.get(full ^ mask, j)) for j, mask in enumerate(masks)],
-        dtype=np.int64,
-    )
-    purities = np.empty((len(states), len(masks)))
-    for j in np.flatnonzero(source == np.arange(len(masks))).tolist():
-        purities[:, j] = purity(stack, SubsystemMask(masks[j], config.shape))
-    purities = purities[:, source]
+    purities, source = sweep_purities(stack, config.shape, masks)
     return SweepResult(
         masks=np.array(masks),
         sizes=np.array([mask.bit_count() for mask in masks]),

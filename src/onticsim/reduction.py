@@ -4,16 +4,22 @@ matrices, and purities.
 For a global pure state the reduced matrix never has to be built on the
 big side of a bipartition: with Psi the (subsystem x complement) reshape
 of the amplitudes, tr(rho_A**2) = ||Psi Psi†||_F**2 = ||Psi† Psi||_F**2,
-so the Gram matrix is always formed on the smaller side.  That is what
-makes the full sweep over thousands of subsystems cheap.
+so the Gram matrix is always formed on the smaller side.
 
-``purity`` is the one purity kernel.  Given the amplitudes of S states
-stacked as an (S, N) array and one mask, it transposes the whole stack
-once into (S, subsystem dim, complement dim) and forms one 2-D Gram
-matrix per state.  It runs in the dtype of the amplitudes: states are
-real in the ontic basis, so the sweep and ``evolve`` run in float64
-there, and complex128 only after a change to the energy basis.  A single
-PureState goes through the same kernel as a one-row stack.
+Two kernels take the amplitudes of S states stacked as an (S, N) array
+and run in its dtype: float64 for the real states of the ontic basis,
+complex128 after a change to the energy basis.  ``purity`` serves one
+mask: it transposes the whole stack once into (S, subsystem dim,
+complement dim) and forms one 2-D Gram matrix per state.  ``evolve``
+uses it, a single PureState goes through it as a one-row stack, and the
+tests use it as the oracle of the second kernel.
+
+``sweep_purities`` serves every mask of a sweep at once.  It holds each
+complement pair once, on its smaller side, and orders those subsystems
+in a tree: the parent of a subsystem adds its lowest absent position.
+Only a subsystem whose parent is not in the sweep (a root) is reduced by
+a transpose and a Gram product; every other one is its parent's reduced
+matrix with one position traced out.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DimensionCap, NumericViolation, TrivialSubsystem
-from .indexing import SubsystemMask, merge_index
+from .indexing import FactorizationShape, SubsystemMask, merge_index
 from .states import DensityMatrix, PureState
 
 __all__ = [
@@ -30,6 +36,7 @@ __all__ = [
     "reduced_density_bruteforce",
     "purity",
     "purity_from_density",
+    "sweep_purities",
 ]
 
 # slack on the purity range [1/min(d_A, d_B), 1] before a computed purity
@@ -97,6 +104,113 @@ def _stack_purities(stack: np.ndarray, mask: SubsystemMask) -> np.ndarray:
             )
         out[row] = p
     return out
+
+
+def _check_range(purities: np.ndarray, dim: int, mask: int) -> None:
+    """NumericViolation unless every purity of one mask lies in
+    [1/dim, 1], dim the smaller side's dimension; NaN fails too."""
+    ok = (purities >= 1.0 / dim - PURITY_TOLERANCE) & (purities <= 1.0 + PURITY_TOLERANCE)
+    if not ok.all():
+        row = int(np.flatnonzero(~ok)[0])
+        raise NumericViolation(
+            f"purity {float(purities[row])!r} of mask 0b{mask:b}, state row {row}, "
+            f"outside [1/{dim}, 1]"
+        )
+
+
+def _gram_stack(stack: np.ndarray, mask: SubsystemMask) -> np.ndarray:
+    """The (S, d, d) reduced matrices Psi Psi† of the mask's side, one Gram
+    product per state."""
+    mats = _bipartite_stack(stack, mask)
+    rho = np.empty((len(mats), mask.dim, mask.dim), stack.dtype)
+    for row, m in enumerate(mats):
+        np.matmul(m, m.conj().T, out=rho[row])
+    return rho
+
+
+def _dim_table(dims: tuple[int, ...]) -> list[int]:
+    """Subsystem dimension of every mask of the given positions, by mask."""
+    table = [1]
+    for d in dims:
+        table += [t * d for t in table]
+    return table
+
+
+def sweep_purities(
+    stack: np.ndarray, shape: FactorizationShape, masks: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (S, M) purities of the proper masks ``masks`` (distinct ints)
+    for an (S, N) amplitude stack, and the (M,) column ``source`` that
+    each purity was computed in.
+
+    A pure state gives a subsystem and its complement the same purity, so
+    each complement pair is computed once, on its node: the side of
+    smaller dimension, then of fewer positions, then the side holding
+    position 0.  ``source[j]`` is the column of the node of mask j's pair
+    when the node is among the masks, and j itself otherwise.
+
+    The parent of a node m is m | (m + 1), m plus its lowest absent
+    position.  A node whose parent is a node of this sweep is that
+    parent's reduced matrix with the position traced out; every other
+    node is a root, reduced by one transpose of the stack and one Gram
+    product per state.  The walk is depth first, so one chain of reduced
+    matrices from a root is alive at a time.  Every node's purities must
+    lie in [1/d_node, 1], else NumericViolation names the node.
+    """
+    full = (1 << shape.k) - 1
+    # dimensions by lookup in two tables of 2**(K/2) entries each; one
+    # table of 2**K would hold a million ints at K = 20
+    half = shape.k // 2
+    low_dims = _dim_table(shape.dims[:half])
+    high_dims = _dim_table(shape.dims[half:])
+
+    def dim_of(m: int) -> int:
+        return low_dims[m & ((1 << half) - 1)] * high_dims[m >> half]
+
+    def side_key(m: int) -> tuple[int, int, int]:
+        return dim_of(m), m.bit_count(), ~m & 1
+
+    # node -> the column its purities go to: its own when enumerated,
+    # else its complement's
+    column: dict[int, int] = {}
+    source = np.arange(len(masks), dtype=np.int64)
+    for j, m in enumerate(masks):
+        node = min(m, full ^ m, key=side_key)
+        other = column.setdefault(node, j)
+        if other != j:
+            if node == m:
+                # the node comes after its complement, which copies it
+                column[node] = source[other] = j
+            else:
+                source[j] = other
+
+    s = stack.shape[0]
+    out = np.empty((s, len(masks)))
+
+    def visit(node: int, rho: np.ndarray) -> None:
+        dim = rho.shape[1]
+        flat = rho.reshape(s, -1)
+        if flat.dtype.kind == "c":
+            # sum |z|**2 as the squares of the real and imaginary parts
+            flat = flat.view(flat.real.dtype)
+        purities = np.einsum("ij,ij->i", flat, flat)
+        _check_range(purities, dim, node)
+        out[:, column[node]] = purities
+        # a child drops one position pos of the node's lowest run
+        # 0..run-1, which makes pos the child's lowest absent position
+        run = (~node & (node + 1)).bit_length() - 1
+        for pos in range(run):
+            child = node ^ (1 << pos)
+            if child in column:
+                b, d = dim_of((1 << pos) - 1), shape.dims[pos]
+                a = dim // (b * d)
+                traced = np.einsum("sabcdbe->sacde", rho.reshape(s, b, d, a, b, d, a))
+                visit(child, traced.reshape(s, b * a, b * a))
+
+    for node in column:
+        if node | (node + 1) not in column:
+            visit(node, _gram_stack(stack, SubsystemMask(node, shape)))
+    return out[:, source], source
 
 
 def reduced_density(psi: PureState, mask: SubsystemMask) -> DensityMatrix:

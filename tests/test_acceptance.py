@@ -73,9 +73,10 @@ def oracle_instances():
 
 
 def test_criterion_01_schmidt_symmetry(full_sweep):
-    # The sweep computes the side of each pair it enumerates first, by
-    # (size, value), and copies it to the complement.  Here the copied side
-    # is computed on its own layout, and both columns are checked against it.
+    # The sweep computes each pair once, on one side, and copies it to the
+    # other.  Here the side enumerated second, by (size, value), is computed
+    # on its own layout by the direct kernel, and both columns are checked
+    # against it.
     result, _ = full_sweep
     column = {m: j for j, m in enumerate(result.masks.tolist())}
     rng = random.Random(FULL_CONFIG.seed)

@@ -251,9 +251,9 @@ class TestSweep:
             assert got == want
 
     def test_out_of_range_purity_exits_3(self, capsys, monkeypatch):
-        kernel = onticsim.reduction._stack_purities
+        kernel = onticsim.reduction._gram_stack
         monkeypatch.setattr(
-            onticsim.reduction, "_stack_purities",
+            onticsim.reduction, "_gram_stack",
             lambda stack, mask: kernel(stack * 1.5, mask),
         )
         code, _, err = run_cli(capsys, "sweep", "--shape", "2x2x2", "--states", "2")

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import onticsim.experiment
+import onticsim.reduction
 from onticsim.bitstate import OnticVector, popcount, random_ontic
 from onticsim.entropy import collision_entropy
-from onticsim.errors import ConfigError, EmptyInput
+from onticsim.errors import ConfigError, EmptyInput, NumericViolation
 from onticsim.experiment import (
     CENSUS_BATCH_POINTS,
     CycleCensus,
@@ -30,7 +31,7 @@ from onticsim.experiment import (
 )
 from onticsim.indexing import FactorizationShape, SubsystemMask
 from onticsim.permrep import Permutation, energy_basis, evolve_ontic, random_permutation
-from onticsim.reduction import purity
+from onticsim.reduction import purity, sweep_purities
 from onticsim.states import PureState, state_from_ontic
 
 
@@ -80,6 +81,37 @@ def copied_sides(result, k):
         for m in masks
         if full ^ m in masks and enumeration_order(m) < enumeration_order(full ^ m)
     )
+
+
+def node_of(mask, shape):
+    """The side of mask's complement pair the sweep kernel computes: the
+    smaller dimension, then fewer positions, then the side holding
+    position 0."""
+    comp = ((1 << shape.k) - 1) ^ mask
+    return min(
+        mask, comp,
+        key=lambda m: (SubsystemMask(m, shape).dim, bin(m).count("1"), not m & 1),
+    )
+
+
+def spy_lattice(monkeypatch):
+    """Record the sweep kernel's root Gram products as (stack shape, dtype,
+    mask) and the masks whose purities it range-checks, in call order."""
+    grams, checked = [], []
+    gram_stack = onticsim.reduction._gram_stack
+    check_range = onticsim.reduction._check_range
+
+    def gram_spy(stack, mask):
+        grams.append((stack.shape, stack.dtype, mask.mask))
+        return gram_stack(stack, mask)
+
+    def check_spy(purities, dim, mask):
+        checked.append(mask)
+        return check_range(purities, dim, mask)
+
+    monkeypatch.setattr(onticsim.reduction, "_gram_stack", gram_spy)
+    monkeypatch.setattr(onticsim.reduction, "_check_range", check_spy)
+    return grams, checked
 
 
 def assert_complements_match_own_layout(result, config, tol):
@@ -257,106 +289,107 @@ class TestRunSweep:
         real = run_sweep(config)
         dtypes = []
 
-        def spy(stack, mask):
+        def spy(stack, shape, masks):
             dtypes.append(stack.dtype)
-            return purity(stack, mask)
+            return sweep_purities(stack, shape, masks)
 
         def rotated(q, shape):
             return PureState(1j * state_from_ontic(q, shape).amps, shape)
 
-        monkeypatch.setattr(onticsim.experiment, "purity", spy)
+        monkeypatch.setattr(onticsim.experiment, "sweep_purities", spy)
         monkeypatch.setattr(onticsim.experiment, "state_from_ontic", rotated)
         result = run_sweep(config)
-        assert dtypes == [np.complex128] * 3
+        assert dtypes == [np.complex128]
         assert np.array_equal(result.masks, real.masks)
         assert result.purity.shape == real.purity.shape
         assert np.all(np.abs(real.purity - result.purity) < 1e-12)
 
     @pytest.mark.parametrize("basis", ["ontic", "energy"])
     def test_one_stacked_purity_call_per_complement_pair(self, monkeypatch, basis):
-        calls = []
-
-        def counted(stack, mask):
-            calls.append((stack.shape, stack.dtype))
-            return purity(stack, mask)
-
-        monkeypatch.setattr(onticsim.experiment, "purity", counted)
+        grams, checked = spy_lattice(monkeypatch)
         shape = FactorizationShape((2, 2, 2))
         generator = Permutation.from_cycles(8, [(0, 3, 5)]) if basis == "energy" else None
         run_sweep(SweepConfig(shape=shape, num_states=3, seed=4, generator=generator))
         dtype = np.float64 if basis == "ontic" else np.complex128
-        assert calls == [((3, 8), dtype)] * 3
+        # three pairs, each a root: one Gram product of the whole stack and
+        # one range check of its purities
+        assert grams == [((3, 8), dtype, m) for m in (1, 2, 4)]
+        assert checked == [1, 2, 4]
 
     @pytest.mark.parametrize(
-        "dims, sizes, expected",
+        "dims, sizes, nodes, roots",
         [
-            ((2,) * 4, None, [1, 2, 4, 8, 3, 5, 6]),
-            # no size-2 partner is chosen, so every singleton is computed
-            ((2,) * 3, (1,), [1, 2, 4]),
-            ((2,) * 3, (1, 2), [1, 2, 4]),
+            # 1, 2 and 4, 8 are traced out of 3, 5 and 9
+            ((2,) * 4, None, [1, 2, 4, 8, 3, 5, 9], [3, 5, 9]),
+            # no size-2 mask is a node, so every singleton is a root
+            ((2,) * 3, (1,), [1, 2, 4], [1, 2, 4]),
+            ((2,) * 3, (1, 2), [1, 2, 4], [1, 2, 4]),
+            # 4 and 3 tie at dimension 4: the side with fewer positions
+            ((2, 2, 4), None, [1, 2, 4], [1, 2, 4]),
+            # 3 (dimension 4) is the smaller side of 4 (dimension 5)
+            ((2, 2, 5), None, [1, 2, 3], [3]),
         ],
     )
-    def test_kernel_runs_on_first_mask_of_each_pair(
-        self, monkeypatch, dims, sizes, expected
+    def test_kernel_computes_each_pair_node(
+        self, monkeypatch, dims, sizes, nodes, roots
     ):
-        calls = []
-
-        def counted(stack, mask):
-            calls.append(mask.mask)
-            return purity(stack, mask)
-
-        monkeypatch.setattr(onticsim.experiment, "purity", counted)
+        grams, checked = spy_lattice(monkeypatch)
         shape = FactorizationShape(dims)
         result = run_sweep(
             SweepConfig(shape=shape, num_states=2, seed=5, subset_sizes=sizes)
         )
-        assert calls == expected
-        assert len(set(result.masks.tolist())) == result.masks.size
+        assert [m for _, _, m in grams] == roots
+        assert sorted(checked) == sorted(nodes)
+        assert sorted(checked) == sorted({node_of(m, shape) for m in result.masks.tolist()})
         assert result.purity.shape == (2, result.masks.size)
 
+    @pytest.mark.parametrize("k, states, count", [(12, 2, 462), (14, 1, 1716)])
+    def test_roots_are_half_size_masks_holding_position_0(
+        self, monkeypatch, k, states, count
+    ):
+        grams, checked = spy_lattice(monkeypatch)
+        shape = FactorizationShape((2,) * k)
+        run_sweep(SweepConfig(shape=shape, num_states=states, seed=2))
+        roots = [m for _, _, m in grams]
+        assert len(roots) == len(set(roots)) == count == math.comb(k - 1, k // 2 - 1)
+        assert all(m & 1 and bin(m).count("1") == k // 2 for m in roots)
+        assert len(checked) == len(set(checked)) == (1 << k - 1) - 1
+
     def test_sampled_sweep_computes_each_drawn_pair_once(self, monkeypatch):
+        grams, checked = spy_lattice(monkeypatch)
         calls = []
-
-        def counted(stack, mask):
-            calls.append(mask.mask)
-            return purity(stack, mask)
-
-        monkeypatch.setattr(onticsim.experiment, "purity", counted)
+        monkeypatch.setattr(onticsim.experiment, "purity", calls.append)
         shape = FactorizationShape((2,) * 6)
         config = SweepConfig(shape=shape, num_states=2, seed=3, samples_per_size=4)
         result = run_sweep(config)
-        drawn = sorted(set(result.masks.tolist()), key=enumeration_order)
+        drawn = result.masks.tolist()
         full = (1 << 6) - 1
         unpaired = [m for m in drawn if full ^ m not in drawn]
         pairs = copied_sides(result, 6)
         # the draw has both kinds: masks with and without a drawn partner
         assert unpaired and pairs
-        assert calls == [m for i, m in enumerate(drawn) if full ^ m not in drawn[:i]]
-        assert len(calls) == len(unpaired) + len(pairs)
+        assert sorted(checked) == sorted({node_of(m, shape) for m in drawn})
+        assert len(checked) == len(unpaired) + len(pairs)
+        assert grams and calls == []
 
     @pytest.mark.parametrize(
         "dims, samples", [((2,) * 6, None), ((2, 3, 2, 3, 2), None), ((2,) * 8, 5)]
     )
     def test_source_names_the_computed_side_of_each_pair(self, monkeypatch, dims, samples):
-        calls = []
-
-        def counted(stack, mask):
-            calls.append(mask.mask)
-            return purity(stack, mask)
-
-        monkeypatch.setattr(onticsim.experiment, "purity", counted)
+        _, checked = spy_lattice(monkeypatch)
         shape = FactorizationShape(dims)
         result = run_sweep(
             SweepConfig(shape=shape, num_states=2, seed=19, samples_per_size=samples)
         )
         masks = result.masks.tolist()
         column = columns(result)
-        expected = list(range(len(masks)))
-        for mask, comp in copied_sides(result, shape.k):
-            expected[column[comp]] = column[mask]
+        expected = [column.get(node_of(m, shape), j) for j, m in enumerate(masks)]
         assert result.source.tolist() == expected
         assert expected != list(range(len(masks)))
-        assert calls == [m for j, m in enumerate(masks) if expected[j] == j]
+        if samples is None:
+            # some copies read a column enumerated later than their own
+            assert any(expected[j] > j for j in range(len(masks)))
+        assert sorted(checked) == sorted({node_of(m, shape) for m in masks})
         assert not result.source.flags.writeable
 
     @pytest.mark.parametrize("dims", [(2, 3, 2, 3, 2), (2,) * 6])
@@ -398,6 +431,76 @@ class TestRunSweep:
                 cap = min(size, 6 - size) * 1.0
                 assert -1e-12 <= s2 <= cap + 1e-9
                 assert s2 == pytest.approx(-math.log2(p), abs=1e-12)
+
+
+class TestLattice:
+    """The sweep kernel, which traces most subsystems out of a larger one,
+    against the direct kernel on each mask's own layout."""
+
+    @pytest.mark.parametrize("basis", ["ontic", "energy"])
+    @pytest.mark.parametrize(
+        "text, sizes, samples",
+        [
+            ("2x3x2x3x2", None, None),
+            ("3^5", None, None),
+            ("2^6", None, None),
+            ("2^7", None, None),
+            ("2^8", None, None),
+            ("2^9", None, None),
+            ("2^10", None, None),
+            ("2x3x2x3x2x3x2x3", None, None),
+            ("2x2x4", None, None),
+            ("2x2x2x100", None, None),
+            # the size-7 masks are computed on their size-3 complements,
+            # which the sweep does not enumerate
+            ("2^10", (4, 7), None),
+            ("2^10", (1, 2, 3, 5, 8), 6),
+            ("2x3x2x3x2x3x2x3", (2, 5, 6), 4),
+        ],
+    )
+    def test_every_row_matches_direct_purity(self, text, sizes, samples, basis):
+        shape = FactorizationShape.parse(text)
+        generator = random_permutation(shape.total, seed=23) if basis == "energy" else None
+        config = SweepConfig(
+            shape=shape, num_states=3, seed=23, generator=generator,
+            subset_sizes=sizes, samples_per_size=samples,
+        )
+        result = run_sweep(config)
+        stack = sweep_stack(config)
+        assert stack.dtype == (np.float64 if basis == "ontic" else np.complex128)
+        for j, mask in enumerate(result.masks.tolist()):
+            direct = purity(stack, SubsystemMask(mask, shape))
+            assert np.abs(result.purity[:, j] - direct).max() < 1e-12, mask
+
+    @pytest.mark.parametrize("scale", [10.0, 0.1, float("nan")])
+    def test_corrupted_root_names_its_mask(self, monkeypatch, scale):
+        gram_stack = onticsim.reduction._gram_stack
+        root = 0b100101
+
+        def corrupted(stack, mask):
+            rho = gram_stack(stack, mask)
+            return rho * scale if mask.mask == root else rho
+
+        monkeypatch.setattr(onticsim.reduction, "_gram_stack", corrupted)
+        config = SweepConfig(shape=FactorizationShape((2,) * 6), num_states=2, seed=8)
+        with pytest.raises(NumericViolation, match=f"mask 0b{root:b},"):
+            run_sweep(config)
+
+    def test_one_chain_of_reduced_matrices_alive(self):
+        shape = FactorizationShape((2,) * 14)
+        config = SweepConfig(shape=shape, num_states=1, seed=3)
+        stack = sweep_stack(config)
+        masks = _enumerate_masks(config, random.Random(0))
+        tracemalloc.start()
+        try:
+            purities, _ = sweep_purities(stack, shape, masks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert purities.shape == (1, len(masks))
+        # a root's 128 x 128 float64 matrix is 128 KiB; the 1,716 roots
+        # together would be 225 MB
+        assert peak < 4 << 20
 
 
 class TestSummaries:
