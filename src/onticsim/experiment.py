@@ -42,7 +42,7 @@ __all__ = [
 CSV_HEADER = "state_id,subset_mask,subset_size,purity,s2_bits"
 # largest Gram matrix side a sweep mask may need
 GRAM_DIM_CAP = 1 << 13
-# points the cycle census lays out per batch (at least one whole sample)
+# points the cycle census labels per batch (at least one whole sample)
 CENSUS_BATCH_POINTS = 1 << 14
 
 
@@ -179,8 +179,31 @@ def _mask_of_rank(k: int, a: int, rank: int) -> int:
     return value
 
 
+def _masks_of_size(a: int, count: int):
+    """The ``count`` smallest values with popcount ``a``, in increasing
+    order, each stepped from the one before by the next-combination rule."""
+    value = (1 << a) - 1
+    for _ in range(count):
+        yield value
+        low = value & -value
+        ripple = value + low
+        value = (((ripple ^ value) >> 2) // low) | ripple
+
+
+def _dims_table(dims: tuple[int, ...]) -> list[int]:
+    """Entry v is the product of ``dims[p]`` over the bits p set in v."""
+    table = [1]
+    for d in dims:
+        table += [x * d for x in table]
+    return table
+
+
 def _enumerate_masks(config: SweepConfig, rng: random.Random) -> list[int]:
     shape = config.shape
+    # subsystem dimensions looked up for the low and the high half of the
+    # positions: two tables of about sqrt(N) entries each
+    half = shape.k // 2
+    low_dims, high_dims = _dims_table(shape.dims[:half]), _dims_table(shape.dims[half:])
     sizes = (
         sorted(set(config.subset_sizes))
         if config.subset_sizes is not None
@@ -189,14 +212,15 @@ def _enumerate_masks(config: SweepConfig, rng: random.Random) -> list[int]:
     chosen: list[int] = []
     for a in sizes:
         count = math.comb(shape.k, a)
-        ranks = range(count)
         if config.samples_per_size is not None and config.samples_per_size < count:
             # the same draw as sampling from the sorted list of all C(K, a)
             # masks, without building it
-            ranks = sorted(rng.sample(ranks, config.samples_per_size))
-        for rank in ranks:
-            value = _mask_of_rank(shape.k, a, rank)
-            dim = math.prod(d for p, d in enumerate(shape.dims) if value >> p & 1)
+            ranks = sorted(rng.sample(range(count), config.samples_per_size))
+            values = [_mask_of_rank(shape.k, a, rank) for rank in ranks]
+        else:
+            values = _masks_of_size(a, count)
+        for value in values:
+            dim = low_dims[value & ((1 << half) - 1)] * high_dims[value >> half]
             if min(dim, shape.total // dim) > GRAM_DIM_CAP:
                 raise ConfigError(
                     f"mask 0b{value:b} needs a {min(dim, shape.total // dim)}-dim "
@@ -355,8 +379,11 @@ def run_cycle_census(n: int, samples: int, seed: int | None = 0) -> CycleCensus:
         # row s shifted onto points s*n..s*n+n-1: one permutation whose
         # cycles are exactly the rows' cycles
         block = (batch + n * np.arange(count)[:, None]).ravel()
-        points, lengths, starts = Permutation(block).layout
-        slot = points[starts] // n * (n + 1) + lengths
+        labels = Permutation(block).labels
+        # each cycle counted once, at its minimum: its sample is the
+        # minimum // n, its length the number of points with that label
+        minima = np.flatnonzero(labels == np.arange(labels.size))
+        slot = minima // n * (n + 1) + np.bincount(labels)[minima]
         counts = np.bincount(slot, minlength=count * (n + 1)).reshape(count, n + 1)
         sums = [a + b for a, b in zip(sums, counts.sum(axis=0).tolist())]
         squares = [a + b for a, b in zip(squares, (counts * counts).sum(axis=0).tolist())]

@@ -103,12 +103,20 @@ class SubsystemMask:
 
     @classmethod
     def parse(cls, shape: FactorizationShape, text: str) -> "SubsystemMask":
-        """Comma list of 1-based factor positions, e.g. "1,3,5"."""
+        """Comma list of distinct 1-based factor positions, e.g. "1,3,5";
+        errors name the positions as typed."""
         try:
-            positions = [int(p) - 1 for p in text.split(",") if p.strip()]
+            positions = [int(p) for p in text.split(",") if p.strip()]
         except ValueError as exc:
             raise ConfigError(f"cannot parse subsystem positions {text!r}") from exc
-        return cls.from_positions(shape, positions)
+        seen: set[int] = set()
+        for p in positions:
+            if not 1 <= p <= shape.k:
+                raise ConfigError(f"position {p} outside 1..{shape.k}")
+            if p in seen:
+                raise ConfigError(f"position {p} given more than once")
+            seen.add(p)
+        return cls.from_positions(shape, [p - 1 for p in positions])
 
     @cached_property
     def positions(self) -> tuple[int, ...]:

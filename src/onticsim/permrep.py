@@ -37,28 +37,62 @@ __all__ = [
 MATRIX_DIM_CAP = 4096  # largest n for which a dense n x n matrix is built
 
 
-def _cycle_layout(images: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The canonical cycles laid end to end: each cycle starts at its
-    minimum and follows the action, cycles are sorted by minimum and
-    fixed points are kept.  Returns the points in that order, each
-    cycle's length and each cycle's first slot, as read-only int64 arrays."""
-    img = images.tolist()
-    seen = bytearray(len(img))
-    points: list[int] = []
-    starts: list[int] = []
-    for start in range(len(img)):
-        if not seen[start]:
-            starts.append(len(points))
-            j = start
-            while not seen[j]:
-                seen[j] = 1
-                points.append(j)
-                j = img[j]
-    first = np.array(starts, dtype=np.int64)
-    layout = (np.array(points, dtype=np.int64), np.diff(first, append=len(img)), first)
-    for arr in layout:
+def _read_only(*arrays: np.ndarray) -> None:
+    for arr in arrays:
         arr.setflags(write=False)
-    return layout
+
+
+def _cycle_labels(images: np.ndarray) -> np.ndarray:
+    """Each point's cycle minimum, by pointer doubling.
+
+    After round r, ``lab[i]`` is the least point among the 2**r points
+    from i onwards along its cycle.  The rounds stop once a doubling
+    changes no label: then ``lab[i] <= lab[g**(2**r)(i)]`` for every i,
+    so the label cannot decrease along the orbit of ``g**(2**r)`` and is
+    constant on it; every such orbit starts a window that holds the
+    cycle's minimum, so every label is that minimum.  That takes about
+    log2 of the longest cycle rounds.
+    """
+    lab = np.arange(images.size)
+    nxt = images
+    while True:
+        merged = np.minimum(lab, lab[nxt])
+        if np.array_equal(merged, lab):
+            break
+        lab = merged
+        nxt = nxt[nxt]
+    _read_only(lab)
+    return lab
+
+
+def _cycle_slots(
+    images: np.ndarray, labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The canonical cycles laid end to end: each cycle starts at its
+    minimum and follows the action, cycles are sorted by minimum and fixed
+    points are kept.  Returns the points in that order and, per point, its
+    cycle's first slot, its own slot within the cycle and its cycle's
+    length, as read-only int64 arrays."""
+    n = images.size
+    idx = np.arange(n)
+    sink = labels == idx
+    # list ranking: dist[i] steps lead from i to nxt[i], and the minima are
+    # sinks, so once every nxt is a sink dist is the distance to the minimum
+    dist = (~sink).astype(np.int64)
+    nxt = np.where(sink, idx, images)
+    while (step := dist[nxt]).any():
+        dist += step
+        nxt = nxt[nxt]
+    count = np.bincount(labels, minlength=n)
+    length = count[labels]
+    slot = (length - dist) % length
+    # count is zero away from the minima, so its exclusive prefix sum at a
+    # minimum is the number of points in the cycles of smaller minima
+    first = (np.cumsum(count) - count)[labels]
+    points = np.empty(n, dtype=np.int64)
+    points[first + slot] = idx
+    _read_only(points, first, slot, length)
+    return points, first, slot, length
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,9 +156,25 @@ class Permutation:
         return self.images.size
 
     @cached_property
+    def labels(self) -> np.ndarray:
+        """Each point's cycle minimum, computed once, on first use: the one
+        cycle primitive every other cycle reader derives from."""
+        return _cycle_labels(self.images)
+
+    @cached_property
+    def _slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        return _cycle_slots(self.images, self.labels)
+
+    @cached_property
     def layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``_cycle_layout`` of the images, computed once, on first use."""
-        return _cycle_layout(self.images)
+        """The points of the canonical cycles laid end to end (each cycle
+        from its minimum, cycles by minimum, fixed points kept), each
+        cycle's length and each cycle's first slot; read-only int64."""
+        points, first, _, length = self._slots
+        minima = np.flatnonzero(self.labels == np.arange(self.n))
+        lengths, starts = length[minima], first[minima]
+        _read_only(lengths, starts)
+        return points, lengths, starts
 
     @property
     def cycles(self) -> tuple[tuple[int, ...], ...]:
@@ -141,15 +191,14 @@ class Permutation:
         return tuple(sorted(self.layout[1].tolist(), reverse=True))
 
     def power_images(self, t: int) -> np.ndarray:
-        """Image array of g**t, t of any sign: the point in slot s of a cycle
-        of length ell moves to slot (s + t) mod ell of that cycle."""
-        points, lengths, starts = self.layout
-        shifts = np.array([t % ell for ell in lengths.tolist()])
-        first = np.repeat(starts, lengths)
-        offset = np.arange(self.n) - first + np.repeat(shifts, lengths)
-        out = np.empty(self.n, dtype=np.int64)
-        out[points] = points[first + offset % np.repeat(lengths, lengths)]
-        return out
+        """Image array of g**t, t any Python int: the point in slot s of a
+        cycle of length ell moves to slot (s + t) mod ell of that cycle."""
+        points, first, slot, length = self._slots
+        t %= self.order
+        if t >= 1 << 62:
+            # beyond int64 arithmetic: reduce by each point's own cycle length
+            t = (t % length.astype(object)).astype(np.int64)
+        return points[first + (slot + t) % length]
 
     def cycle_string(self) -> str:
         """Cycle notation without the fixed points; "()" for the identity."""

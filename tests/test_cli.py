@@ -377,6 +377,24 @@ class TestEvolve:
         assert out == ""
         assert "seed" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "mask, message",
+        [
+            ("9", "position 9 outside 1..3"),
+            ("0", "position 0 outside 1..3"),
+            ("1,1", "position 1 given more than once"),
+        ],
+    )
+    def test_bad_mask_exits_2_naming_the_typed_position(self, capsys, mask, message):
+        code, out, err = run_cli(
+            capsys,
+            "evolve", "--shape", "2^3", "--generator", "(0 1)",
+            "--mask", mask, "--ontic", "8:0x2D", "--t-max", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert message in err and "Traceback" not in err
+
     def test_allow_wrap(self, capsys):
         code, _, _ = run_cli(
             capsys,

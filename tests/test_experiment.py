@@ -163,6 +163,26 @@ class TestSweepConfig:
             run_sweep(config)
 
 
+    def test_memory_budget_names_the_first_mask_over_it(self, monkeypatch):
+        monkeypatch.setattr(onticsim.experiment, "GRAM_DIM_CAP", 16)
+        shape = FactorizationShape((2, 3, 5, 7, 2, 3))
+        for mask in (
+            _mask_of_rank(shape.k, a, rank)
+            for a in range(1, shape.k)
+            for rank in range(math.comb(shape.k, a))
+        ):
+            dim = math.prod(d for p, d in enumerate(shape.dims) if mask >> p & 1)
+            if min(dim, shape.total // dim) > 16:
+                break
+        message = (
+            f"mask 0b{mask:b} needs a {min(dim, shape.total // dim)}-dim Gram matrix, "
+            "over the budget 16"
+        )
+        assert message == "mask 0b1010 needs a 21-dim Gram matrix, over the budget 16"
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            _enumerate_masks(SweepConfig(shape=shape), random.Random(0))
+
+
 class TestRunSweep:
     def test_record_count_all_proper(self):
         shape = FactorizationShape((2, 2, 2, 2))
@@ -248,6 +268,19 @@ class TestRunSweep:
                     for combo in itertools.combinations(range(k), a)
                 )
                 assert [_mask_of_rank(k, a, r) for r in range(len(masks))] == masks
+
+    @pytest.mark.parametrize(
+        "dims", [(2,) * k for k in range(1, 15)] + [(2, 3) * 4], ids=lambda d: "x".join(map(str, d))
+    )
+    def test_stepped_masks_equal_unranked(self, dims):
+        shape = FactorizationShape(dims)
+        masks = _enumerate_masks(SweepConfig(shape=shape), random.Random(0))
+        unranked = [
+            _mask_of_rank(shape.k, a, rank)
+            for a in range(1, shape.k)
+            for rank in range(math.comb(shape.k, a))
+        ]
+        assert masks == unranked
 
     def test_density_controls_popcount(self):
         shape = FactorizationShape((2,) * 6)

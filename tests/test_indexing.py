@@ -107,6 +107,20 @@ class TestSubsystemMask:
         mask = SubsystemMask.parse(shape, "1,3,5")
         assert mask.positions == (0, 2, 4)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("9", "position 9 outside 1..3"),
+            ("0", "position 0 outside 1..3"),
+            ("1,-2", "position -2 outside 1..3"),
+            ("1,1", "position 1 given more than once"),
+            ("3,2,3", "position 3 given more than once"),
+        ],
+    )
+    def test_parse_errors_name_positions_as_typed(self, text, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            SubsystemMask.parse(FactorizationShape((2,) * 3), text)
+
     def test_properness(self):
         shape = FactorizationShape((2, 2))
         assert SubsystemMask(0b01, shape).is_proper

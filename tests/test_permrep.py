@@ -9,6 +9,7 @@ import pytest
 import onticsim.permrep
 from onticsim.bitstate import OnticVector, popcount, random_ontic
 from onticsim.errors import ConfigError, DimensionCap, InvalidCycle, SizeMismatch
+from onticsim.experiment import run_cycle_census
 from onticsim.indexing import FactorizationShape
 from onticsim.permrep import (
     EnergyBasis,
@@ -42,14 +43,50 @@ def squaring_images(images, t):
     return result
 
 
+def layout_by_walk(images):
+    """The cycle layout by walking every cycle from its least point, one
+    point at a time: the reference the labelled layout must equal exactly."""
+    img = np.asarray(images).tolist()
+    seen = bytearray(len(img))
+    points = []
+    starts = []
+    for start in range(len(img)):
+        if not seen[start]:
+            starts.append(len(points))
+            j = start
+            while not seen[j]:
+                seen[j] = 1
+                points.append(j)
+                j = img[j]
+    first = np.array(starts, dtype=np.int64)
+    return np.array(points, dtype=np.int64), np.diff(first, append=len(img)), first
+
+
+def prime_cycles():
+    """Cycles of every prime length 2-53 on 381 points: the order, their
+    product, exceeds 2**63."""
+    primes = [p for p in range(2, 54) if all(p % d for d in range(2, p))]
+    ends = np.cumsum(primes)
+    return Permutation.from_cycles(int(ends[-1]), [range(e - p, e) for p, e in zip(primes, ends)])
+
+
+def census_block(n=20, rows=819, seed=25):
+    """A census batch: rows random permutations of n points, row s shifted
+    onto points s*n..s*n+n-1 (16,380 points by default)."""
+    rng = np.random.default_rng(seed)
+    batch = rng.permuted(np.tile(np.arange(n), (rows, 1)), axis=1)
+    return Permutation((batch + n * np.arange(rows)[:, None]).ravel())
+
+
 def oracle_cases():
-    """Random permutations of sizes 1-200, and 1,500 transpositions plus a
-    7-cycle on 4096 points."""
+    """Random permutations of sizes 1-200, 1,500 transpositions plus a
+    7-cycle on 4096 points, and the prime-length cycles."""
     rng = np.random.default_rng(21)
     sizes = [1, 2, 3, 7, 64, 200] + rng.integers(1, 201, size=14).tolist()
     cases = [random_permutation(n, seed=int(rng.integers(1 << 30))) for n in sizes]
     pairs = [[2 * i, 2 * i + 1] for i in range(1500)]
     cases.append(Permutation.from_cycles(4096, pairs + [list(range(3000, 3007))]))
+    cases.append(prime_cycles())
     return cases
 
 
@@ -125,20 +162,66 @@ class TestBijectionCheck:
 
 class TestCycleLayout:
     def test_example(self):
-        points, lengths, starts = Permutation.from_cycles(6, [[4, 5], [2, 0, 1]]).layout
+        g = Permutation.from_cycles(6, [[4, 5], [2, 0, 1]])
+        points, lengths, starts = g.layout
         assert points.tolist() == [0, 1, 2, 3, 4, 5]
         assert lengths.tolist() == [3, 1, 2]
         assert starts.tolist() == [0, 3, 4]
+        assert g.labels.tolist() == [0, 0, 0, 3, 4, 4]
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Permutation.identity(1),
+            Permutation.identity(4096),
+            # 0 -> 1 -> ... -> 2**16 - 1 -> 0: the label of point 1 needs
+            # the window of all 2**16 points, the most doubling rounds
+            Permutation(np.roll(np.arange(1 << 16), -1)),
+            Permutation.from_cycles(1 << 16, [np.random.default_rng(26).permutation(1 << 16)]),
+            census_block(),
+            random_permutation(2, seed=27),
+            random_permutation(4096, seed=28),
+            random_permutation(100_000, seed=29),
+            prime_cycles(),
+        ],
+        ids=[
+            "identity-1",
+            "identity-4096",
+            "ordered-2^16-cycle",
+            "shuffled-2^16-cycle",
+            "census-block",
+            "random-2",
+            "random-4096",
+            "random-100000",
+            "prime-cycles",
+        ],
+    )
+    def test_equals_walk(self, g):
+        points, lengths, starts = layout_by_walk(g.images)
+        expected_labels = np.empty(g.n, dtype=np.int64)
+        expected_labels[points] = np.repeat(points[starts], lengths)
+        assert np.array_equal(g.labels, expected_labels)
+        for got, want in zip(g.layout, (points, lengths, starts)):
+            assert got.dtype == np.int64
+            assert not got.flags.writeable
+            assert np.array_equal(got, want)
+        assert not g.labels.flags.writeable
+
+    def test_random_permutations_equal_walk(self):
+        for g in oracle_cases():
+            for got, want in zip(g.layout, layout_by_walk(g.images)):
+                assert np.array_equal(got, want), g.n
 
     def test_walked_once_for_every_reader(self, monkeypatch):
+        # one labels pass per permutation serves every cycle reader
         calls = []
-        walk = onticsim.permrep._cycle_layout
+        label = onticsim.permrep._cycle_labels
 
         def counted(images):
             calls.append(1)
-            return walk(images)
+            return label(images)
 
-        monkeypatch.setattr(onticsim.permrep, "_cycle_layout", counted)
+        monkeypatch.setattr(onticsim.permrep, "_cycle_labels", counted)
         g = random_permutation(40, seed=3)
         assert not calls
         g.cycles, g.order, g.cycle_type, g.cycle_string(), g.power_images(5)
@@ -147,7 +230,25 @@ class TestCycleLayout:
         basis.inverse_transform(basis.transform(psi))
         basis.eigenvalues(), basis.eigenphase_exponents, basis.matrix()
         apply_permutation(g, psi, 3)
+        g.labels, g.layout
         assert len(calls) == 1
+
+    def test_census_builds_no_layout(self, monkeypatch):
+        labelled = []
+        label = onticsim.permrep._cycle_labels
+
+        def counted(images):
+            labelled.append(images.size)
+            return label(images)
+
+        def refuse(images, labels):
+            raise AssertionError("the census built a cycle layout")
+
+        monkeypatch.setattr(onticsim.permrep, "_cycle_labels", counted)
+        monkeypatch.setattr(onticsim.permrep, "_cycle_slots", refuse)
+        run_cycle_census(20, 2000, seed=30)
+        # 819 samples of 20 points per batch: 819 + 819 + 362
+        assert labelled == [16_380, 16_380, 7_240]
 
 
 class TestPowerOracle:
@@ -157,6 +258,13 @@ class TestPowerOracle:
             for t in oracle_times(g):
                 expected = squaring_images(g.images, t)
                 assert np.array_equal(g.power_images(t), expected), (g.n, t)
+
+    def test_order_beyond_int64(self):
+        g = prime_cycles()
+        assert g.n == 381
+        assert g.order > 2**63
+        for t in (2**70 + 3, -(2**70 + 3), g.order - 1, 2**63, -(2**63) - 1):
+            assert np.array_equal(g.power_images(t), squaring_images(g.images, t)), t
 
     def test_apply_permutation(self):
         rng = random.Random(22)
