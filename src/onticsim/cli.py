@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterable
 
-from . import __version__
 from .bitstate import OnticVector, inner_ontic, overlap_standard, popcount, random_ontic
 from .errors import ConfigError, NumericViolation, OnticsimError
 from .experiment import (
     SweepConfig,
+    _table,
     plot_data_text,
     run_cycle_census,
     run_sweep,
@@ -35,12 +36,14 @@ from .indexing import (
 from .permrep import Permutation
 
 
-def _write_output(path: str | None, text: str) -> None:
+def _write_output(path: str | None, blocks: Iterable[str]) -> None:
+    """Write text blocks to stdout (path None or "-") or to the file at
+    ``path``, each as soon as it is made."""
     if path in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
     else:
         with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -129,33 +132,25 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     series = run_time_series(
         shape, q, g, mask, range(args.t_max + 1), allow_wrap=args.allow_wrap
     )
-    lines = [
-        f"# tool=onticsim {__version__}",
-        f"# shape={shape}",
-        f"# ontic={q.serialize()}",
-        f"# generator={g.cycle_string()}",
-        f"# mask={args.mask}",
-        "t,s2_bits",
+    comments = [
+        f"shape={shape}",
+        f"ontic={q.serialize()}",
+        f"generator={g.cycle_string()}",
+        f"mask={args.mask}",
     ]
-    lines += [f"{t},{s2:.17g}" for t, s2 in series]
-    _write_output(args.out, "\n".join(lines) + "\n")
+    rows = (f"{t},{s2:.17g}\n" for t, s2 in series)
+    _write_output(args.out, _table(comments, "t,s2_bits", rows))
     return 0
 
 
 def cmd_cycles(args: argparse.Namespace) -> int:
     census = run_cycle_census(args.n, args.samples, args.seed)
-    lines = [
-        f"# tool=onticsim {__version__}",
-        f"# n={census.n}",
-        f"# samples={census.samples}",
-        "length,mean,std_error,expected,flagged",
-    ]
-    for s in census.stats:
-        lines.append(
-            f"{s.length},{s.mean:.17g},{s.std_error:.17g},"
-            f"{s.expected:.17g},{int(s.flagged)}"
-        )
-    _write_output(args.out, "\n".join(lines) + "\n")
+    rows = (
+        f"{s.length},{s.mean:.17g},{s.std_error:.17g},{s.expected:.17g},{int(s.flagged)}\n"
+        for s in census.stats
+    )
+    header = "length,mean,std_error,expected,flagged"
+    _write_output(args.out, _table([f"n={census.n}", f"samples={census.samples}"], header, rows))
     return 0
 
 

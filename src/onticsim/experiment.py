@@ -9,8 +9,10 @@ fixed configuration.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +23,7 @@ from .entropy import collision_entropy
 from .errors import ConfigError, EmptyInput, SizeMismatch
 from .indexing import FactorizationShape, SubsystemMask
 from .permrep import Permutation, apply_permutation, energy_basis
-from .reduction import purity, sweep_purities
+from .reduction import _dim_table, purity, sweep_purities
 from .states import state_from_ontic
 
 __all__ = [
@@ -44,6 +46,8 @@ CSV_HEADER = "state_id,subset_mask,subset_size,purity,s2_bits"
 GRAM_DIM_CAP = 1 << 13
 # points the cycle census labels per batch (at least one whole sample)
 CENSUS_BATCH_POINTS = 1 << 14
+# rows an output table is formatted and written in at a time
+CSV_BLOCK_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -190,20 +194,12 @@ def _masks_of_size(a: int, count: int):
         value = (((ripple ^ value) >> 2) // low) | ripple
 
 
-def _dims_table(dims: tuple[int, ...]) -> list[int]:
-    """Entry v is the product of ``dims[p]`` over the bits p set in v."""
-    table = [1]
-    for d in dims:
-        table += [x * d for x in table]
-    return table
-
-
 def _enumerate_masks(config: SweepConfig, rng: random.Random) -> list[int]:
     shape = config.shape
     # subsystem dimensions looked up for the low and the high half of the
     # positions: two tables of about sqrt(N) entries each
     half = shape.k // 2
-    low_dims, high_dims = _dims_table(shape.dims[:half]), _dims_table(shape.dims[half:])
+    low_dims, high_dims = _dim_table(shape.dims[:half]), _dim_table(shape.dims[half:])
     sizes = (
         sorted(set(config.subset_sizes))
         if config.subset_sizes is not None
@@ -401,48 +397,61 @@ def run_cycle_census(n: int, samples: int, seed: int | None = 0) -> CycleCensus:
     return CycleCensus(n, samples, tuple(stats))
 
 
-def _metadata_lines(config: SweepConfig) -> list[str]:
-    lines = [
-        f"# tool=onticsim {__version__}",
-        f"# shape={config.shape}",
-        f"# seed={config.seed}",
-        f"# states={config.effective_num_states}",
-        f"# basis={config.basis}",
+def _table(comments: list[str], header: str, rows: Iterable[str]) -> Iterator[str]:
+    """An output table as text blocks: the '# tool=' line, one '# ' line
+    per comment and the column header, then the rows, each ending in a
+    line break, ``CSV_BLOCK_ROWS`` at a time."""
+    yield "".join(f"# {c}\n" for c in [f"tool=onticsim {__version__}", *comments]) + header + "\n"
+    rows = iter(rows)
+    while block := "".join(itertools.islice(rows, CSV_BLOCK_ROWS)):
+        yield block
+
+
+def _metadata(config: SweepConfig) -> list[str]:
+    g = config.generator
+    return [
+        f"shape={config.shape}",
+        f"seed={config.seed}",
+        f"states={config.effective_num_states}",
+        f"basis={config.basis}",
+        *([] if g is None else [f"generator={g.cycle_string()}"]),
+        f"subset_policy={config.policy_label()}",
+        f"sampling={config.sampling_label()}",
+        "log_base=2",
     ]
-    if config.generator is not None:
-        lines.append(f"# generator={config.generator.cycle_string()}")
-    lines.append(f"# subset_policy={config.policy_label()}")
-    lines.append(f"# sampling={config.sampling_label()}")
-    lines.append("# log_base=2")
-    return lines
 
 
-def sweep_csv(result: SweepResult, config: SweepConfig) -> str:
-    """CSV text for a sweep: '#' metadata lines, a header, one row per
-    (state, mask), floats at 17 significant digits."""
-    lines = _metadata_lines(config)
-    lines.append(CSV_HEADER)
+def sweep_csv(result: SweepResult, config: SweepConfig) -> Iterator[str]:
+    """CSV text blocks for a sweep: '#' metadata lines and a header, then
+    one row per (state, mask) in state-major order, floats at 17
+    significant digits."""
     keys = [f"{m},{a}," for m, a in zip(result.masks.tolist(), result.sizes.tolist())]
-    for sid, (ps, s2s) in enumerate(zip(result.purity.tolist(), result.s2_bits.tolist())):
-        lines += [f"{sid},{key}{p:.17g},{s2:.17g}" for key, p, s2 in zip(keys, ps, s2s)]
-    return "\n".join(lines) + "\n"
-
-
-def plot_data_text(result: SweepResult, config: SweepConfig) -> str:
-    """Companion per-size envelope of a sweep plus a tool-neutral recipe
-    for reproducing the standard figure layout."""
-    summary = summarize_by_size(result)
-    lines = _metadata_lines(config)
-    lines += [
-        "# figure recipe: x = subsets of the sweep CSV in row order",
-        "#   (grouped by subset_size, then mask); y = s2_bits; draw one",
-        "#   polyline per state_id; this file adds the per-size envelope.",
-        "size,count,min_s2,mean_s2,max_s2,std_s2,state_mean_std",
-    ]
-    for row in summary.by_size:
-        lines.append(
-            f"{row.size},{row.count},{row.min_s2:.17g},{row.mean_s2:.17g},"
-            f"{row.max_s2:.17g},{row.std_s2:.17g},{row.state_mean_std:.17g}"
+    cuts = [slice(i, i + CSV_BLOCK_ROWS) for i in range(0, len(keys), CSV_BLOCK_ROWS)]
+    rows = (
+        f"{sid},{key}{p:.17g},{s2:.17g}\n"
+        for sid in range(len(result.purity))
+        for cut in cuts
+        # floats listed a block at a time, not a whole state at once
+        for key, p, s2 in zip(
+            keys[cut], result.purity[sid, cut].tolist(), result.s2_bits[sid, cut].tolist()
         )
-    lines.append(f"# max_complement_asymmetry={summary.max_complement_asymmetry:.17g}")
-    return "\n".join(lines) + "\n"
+    )
+    return _table(_metadata(config), CSV_HEADER, rows)
+
+
+def plot_data_text(result: SweepResult, config: SweepConfig) -> Iterator[str]:
+    """Text blocks of the companion per-size envelope of a sweep plus a
+    tool-neutral recipe for reproducing the standard figure layout."""
+    summary = summarize_by_size(result)
+    comments = _metadata(config) + [
+        "figure recipe: x = subsets of the sweep CSV in row order",
+        "  (grouped by subset_size, then mask); y = s2_bits; draw one",
+        "  polyline per state_id; this file adds the per-size envelope.",
+    ]
+    rows = [
+        f"{row.size},{row.count},{row.min_s2:.17g},{row.mean_s2:.17g},"
+        f"{row.max_s2:.17g},{row.std_s2:.17g},{row.state_mean_std:.17g}\n"
+        for row in summary.by_size
+    ]
+    rows.append(f"# max_complement_asymmetry={summary.max_complement_asymmetry:.17g}\n")
+    return _table(comments, "size,count,min_s2,mean_s2,max_s2,std_s2,state_mean_std", rows)

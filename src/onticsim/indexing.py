@@ -98,6 +98,8 @@ class SubsystemMask:
             p = int(p)
             if not 0 <= p < shape.k:
                 raise ConfigError(f"position {p} outside 0..{shape.k - 1}")
+            if mask >> p & 1:
+                raise ConfigError(f"position {p} given more than once")
             mask |= 1 << p
         return cls(mask, shape)
 

@@ -323,8 +323,8 @@ def test_criterion_10_csv_determinism():
     config = SweepConfig(
         shape=FactorizationShape.parse("2^10"), num_states=3, seed=31415
     )
-    first = sweep_csv(run_sweep(config), config).encode()
-    second = sweep_csv(run_sweep(config), config).encode()
+    first = "".join(sweep_csv(run_sweep(config), config)).encode()
+    second = "".join(sweep_csv(run_sweep(config), config)).encode()
     report(
         "10 CSV determinism",
         first == second,

@@ -405,6 +405,24 @@ class TestEvolve:
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--shape", "2^6", "--states", "3", "--seed", "2"],
+        ["evolve", "--shape", "2x3x2", "--generator", "(0 5 7 11)(1 2 3)", "--mask", "1,2",
+         "--t-max", "11"],
+        ["cycles", "--n", "6", "--samples", "50", "--seed", "4"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_stdout_equals_file_output(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    code, stdout, _ = run_cli(capsys, *argv, "--out", "-")
+    assert code == 0
+    assert stdout.encode() == out.read_bytes()
+
+
+@pytest.mark.parametrize(
     "run, argv, message",
     [
         ("run_sweep", ["sweep", "--shape", "2x2"], ""),

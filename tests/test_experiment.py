@@ -12,10 +12,12 @@ import pytest
 import onticsim.experiment
 import onticsim.reduction
 from onticsim.bitstate import OnticVector, popcount, random_ontic
+from onticsim.cli import _write_output
 from onticsim.entropy import collision_entropy
 from onticsim.errors import ConfigError, EmptyInput, NumericViolation
 from onticsim.experiment import (
     CENSUS_BATCH_POINTS,
+    CSV_BLOCK_ROWS,
     CycleCensus,
     CycleCountStat,
     SweepConfig,
@@ -602,14 +604,14 @@ class TestCsvOutput:
     def test_byte_identical_reruns(self):
         shape = FactorizationShape((2,) * 6)
         config = SweepConfig(shape=shape, num_states=3, seed=14)
-        text_a = sweep_csv(run_sweep(config), config)
-        text_b = sweep_csv(run_sweep(config), config)
+        text_a = "".join(sweep_csv(run_sweep(config), config))
+        text_b = "".join(sweep_csv(run_sweep(config), config))
         assert text_a.encode() == text_b.encode()
 
     def test_schema(self):
         shape = FactorizationShape((2, 2))
         config = SweepConfig(shape=shape, num_states=1, seed=15)
-        text = sweep_csv(run_sweep(config), config)
+        text = "".join(sweep_csv(run_sweep(config), config))
         lines = text.strip().split("\n")
         meta = [ln for ln in lines if ln.startswith("#")]
         body = [ln for ln in lines if not ln.startswith("#")]
@@ -628,7 +630,7 @@ class TestCsvOutput:
         shape = FactorizationShape((2,) * 4)
         config = SweepConfig(shape=shape, num_states=2, seed=16)
         result = run_sweep(config)
-        text = plot_data_text(result, config)
+        text = "".join(plot_data_text(result, config))
         assert "size,count,min_s2,mean_s2,max_s2,std_s2,state_mean_std" in text
         assert "max_complement_asymmetry=" in text
         data_rows = [
@@ -636,6 +638,75 @@ class TestCsvOutput:
             if ln and not ln.startswith("#") and not ln.startswith("size,")
         ]
         assert len(data_rows) == 3  # sizes 1..3
+
+
+def joined_sweep_csv(result, config):
+    """The sweep CSV as 0.10.0 formatted it: every line of the table in
+    one list, joined once."""
+    lines = [
+        f"# tool=onticsim {onticsim.__version__}",
+        f"# shape={config.shape}",
+        f"# seed={config.seed}",
+        f"# states={config.effective_num_states}",
+        f"# basis={config.basis}",
+    ]
+    if config.generator is not None:
+        lines.append(f"# generator={config.generator.cycle_string()}")
+    lines.append(f"# subset_policy={config.policy_label()}")
+    lines.append(f"# sampling={config.sampling_label()}")
+    lines.append("# log_base=2")
+    lines.append("state_id,subset_mask,subset_size,purity,s2_bits")
+    keys = [f"{m},{a}," for m, a in zip(result.masks.tolist(), result.sizes.tolist())]
+    for sid, (ps, s2s) in enumerate(zip(result.purity.tolist(), result.s2_bits.tolist())):
+        lines += [f"{sid},{key}{p:.17g},{s2:.17g}" for key, p, s2 in zip(keys, ps, s2s)]
+    return "\n".join(lines) + "\n"
+
+
+def synthetic_result(num_states, k):
+    """A SweepResult of every proper mask of 2^k with random purities,
+    built without running a sweep."""
+    rng = np.random.default_rng(num_states)
+    masks = np.arange(1, (1 << k) - 1)
+    purities = rng.uniform(2.0 ** -(k // 2), 1.0, (num_states, masks.size))
+    return SweepResult(
+        masks=masks,
+        sizes=np.array([m.bit_count() for m in masks.tolist()]),
+        purity=purities,
+        s2_bits=collision_entropy(purities),
+        source=np.arange(masks.size),
+    )
+
+
+class TestStreamedCsv:
+    @pytest.mark.parametrize("energy", [False, True], ids=["ontic", "energy"])
+    def test_blocks_join_to_the_one_string_table(self, energy):
+        shape = FactorizationShape((2,) * 6)
+        generator = random_permutation(64, seed=41) if energy else None
+        config = SweepConfig(shape=shape, num_states=3, seed=42, generator=generator)
+        result = run_sweep(config)
+        blocks = list(sweep_csv(result, config))
+        assert blocks[0].endswith("state_id,subset_mask,subset_size,purity,s2_bits\n")
+        assert "".join(blocks) == joined_sweep_csv(result, config)
+
+    def test_blocks_hold_at_most_the_block_rows(self):
+        shape = FactorizationShape((2,) * 12)
+        result = synthetic_result(3, 12)
+        blocks = list(sweep_csv(result, SweepConfig(shape=shape, num_states=3)))
+        rows = [b.count("\n") for b in blocks[1:]]
+        assert rows == [CSV_BLOCK_ROWS, CSV_BLOCK_ROWS, 3 * 4094 - 2 * CSV_BLOCK_ROWS]
+
+    def test_writer_memory_does_not_grow_with_states(self, tmp_path):
+        shape = FactorizationShape((2,) * 14)
+        peaks = []
+        for num_states in (1, 10):
+            result = synthetic_result(num_states, 14)
+            config = SweepConfig(shape=shape, num_states=num_states)
+            tracemalloc.start()
+            _write_output(str(tmp_path / "sweep.csv"), sweep_csv(result, config))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+        assert max(peaks) < 3_000_000
 
 
 class TestTimeSeries:

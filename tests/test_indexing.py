@@ -134,6 +134,13 @@ class TestSubsystemMask:
         with pytest.raises(ConfigError):
             SubsystemMask.from_positions(shape, [2])
 
+    def test_repeated_position(self):
+        shape = FactorizationShape((2, 2, 2))
+        with pytest.raises(ConfigError, match="position 0 given more than once"):
+            SubsystemMask.from_positions(shape, [0, 0])
+        with pytest.raises(ConfigError, match="position 2 given more than once"):
+            SubsystemMask.from_positions(shape, [2, 1, 2])
+
 
 class TestSplitIndex:
     def test_first_factor(self):

@@ -288,6 +288,13 @@ class TestStackedPurity:
         with pytest.raises(NumericViolation, match="state row 0"):
             purity(stack, SubsystemMask.from_positions(shape, [0]))
 
+    def test_nan_purity_raises(self):
+        shape = FactorizationShape((2, 3, 2))
+        stack = ontic_stack(shape, 2, seed=24)
+        stack[1, 5] = np.nan
+        with pytest.raises(NumericViolation, match="purity nan of mask 0b1, state row 1"):
+            purity(stack, SubsystemMask.from_positions(shape, [0]))
+
     def test_rejects_bad_inputs(self):
         shape = FactorizationShape((2, 3, 2))
         stack = ontic_stack(shape, 2, seed=25)
