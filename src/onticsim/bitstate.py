@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateState, LengthMismatch
+from .indexing import check_points
 
 __all__ = [
     "OnticVector",
@@ -37,6 +38,7 @@ class OnticVector:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ConfigError(f"need at least 2 elements, got n={self.n}")
+        check_points(self.n, "an ontic vector")
         if not 0 <= self.bits < 1 << self.n:
             raise ConfigError(f"pattern 0x{self.bits:X} does not fit in {self.n} bits")
 

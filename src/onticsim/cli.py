@@ -12,6 +12,7 @@ in memory, 3 numeric-invariant violation.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections.abc import Iterable
 
@@ -165,6 +166,11 @@ def cmd_overlap(args: argparse.Namespace) -> int:
 
 
 def cmd_area(args: argparse.Namespace) -> int:
+    # 2**n - 2 has floor(n log10 2) + 1 digits; str() refuses more than
+    # Python's int-to-str limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and args.n > limit / math.log10(2):
+        raise ConfigError(f"--n {args.n}: the state-count bound has over {limit} digits")
     print(f"orthant_sphere_area={orthant_sphere_area(args.n):.17g}")
     if args.n >= 2:
         print(f"natural_state_lower_bound={natural_state_lower_bound(args.n)}")

@@ -21,9 +21,9 @@ from . import __version__
 from .bitstate import OnticVector, random_ontic
 from .entropy import collision_entropy
 from .errors import ConfigError, EmptyInput, SizeMismatch
-from .indexing import FactorizationShape, SubsystemMask
+from .indexing import FactorizationShape, SubsystemMask, check_points
 from .permrep import Permutation, apply_permutation, energy_basis
-from .reduction import _dim_table, purity, sweep_purities
+from .reduction import purity, sweep_purities
 from .states import state_from_ontic
 
 __all__ = [
@@ -42,8 +42,6 @@ __all__ = [
 ]
 
 CSV_HEADER = "state_id,subset_mask,subset_size,purity,s2_bits"
-# largest Gram matrix side a sweep mask may need
-GRAM_DIM_CAP = 1 << 13
 # points the cycle census labels per batch (at least one whole sample)
 CENSUS_BATCH_POINTS = 1 << 14
 # rows an output table is formatted and written in at a time
@@ -160,16 +158,6 @@ class SweepResult:
             values.setflags(write=False)
 
 
-def _resolve_vectors(config: SweepConfig, rng: random.Random) -> tuple[OnticVector, ...]:
-    if config.ontic_vectors is not None:
-        return config.ontic_vectors
-    n = config.shape.total
-    weight = config.state_weight()
-    return tuple(
-        random_ontic(n, rng=rng, weight=weight) for _ in range(config.num_states)
-    )
-
-
 def _mask_of_rank(k: int, a: int, rank: int) -> int:
     """The rank-th smallest (from 0) k-bit value with popcount a."""
     value = 0
@@ -196,10 +184,6 @@ def _masks_of_size(a: int, count: int):
 
 def _enumerate_masks(config: SweepConfig, rng: random.Random) -> list[int]:
     shape = config.shape
-    # subsystem dimensions looked up for the low and the high half of the
-    # positions: two tables of about sqrt(N) entries each
-    half = shape.k // 2
-    low_dims, high_dims = _dim_table(shape.dims[:half]), _dim_table(shape.dims[half:])
     sizes = (
         sorted(set(config.subset_sizes))
         if config.subset_sizes is not None
@@ -215,14 +199,7 @@ def _enumerate_masks(config: SweepConfig, rng: random.Random) -> list[int]:
             values = [_mask_of_rank(shape.k, a, rank) for rank in ranks]
         else:
             values = _masks_of_size(a, count)
-        for value in values:
-            dim = low_dims[value & ((1 << half) - 1)] * high_dims[value >> half]
-            if min(dim, shape.total // dim) > GRAM_DIM_CAP:
-                raise ConfigError(
-                    f"mask 0b{value:b} needs a {min(dim, shape.total // dim)}-dim "
-                    f"Gram matrix, over the budget {GRAM_DIM_CAP}"
-                )
-            chosen.append(value)
+        chosen.extend(values)
     return chosen
 
 
@@ -234,7 +211,11 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     """
     config.validate()
     rng = random.Random(config.seed)
-    vectors = _resolve_vectors(config, rng)
+    weight = config.state_weight()
+    # validate() rejects an empty tuple of explicit vectors
+    vectors = config.ontic_vectors or [
+        random_ontic(config.shape.total, rng=rng, weight=weight) for _ in range(config.num_states)
+    ]
     states = [state_from_ontic(q, config.shape) for q in vectors]
     if config.generator is not None:
         basis = energy_basis(config.generator)
@@ -360,6 +341,7 @@ def run_cycle_census(n: int, samples: int, seed: int | None = 0) -> CycleCensus:
     """
     if n < 1:
         raise ConfigError(f"size must be >= 1, got {n}")
+    check_points(n, "a permutation")
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples}")
     if seed is not None and seed < 0:

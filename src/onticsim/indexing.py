@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,6 +29,15 @@ __all__ = [
     "orthant_sphere_area",
 ]
 
+# the most points (basis states, ontic elements, permuted points) one array
+# may hold: numpy addresses at most sys.maxsize bytes, an amplitude takes 16
+POINT_CAP = sys.maxsize // 16
+
+
+def check_points(n: int, what: str) -> None:
+    if n > POINT_CAP:
+        raise ConfigError(f"{what} of more than {POINT_CAP} points: no array can index that many")
+
 
 @dataclass(frozen=True)
 class FactorizationShape:
@@ -42,6 +52,7 @@ class FactorizationShape:
             raise ConfigError("a factorization needs at least one factor")
         if any(d < 2 for d in dims):
             raise ConfigError(f"every local dimension must be >= 2, got {dims}")
+        check_points(math.prod(dims), "a shape")
 
     @cached_property
     def total(self) -> int:
@@ -63,16 +74,14 @@ class FactorizationShape:
         """Accept "2x3x2" and the power form "2^12"."""
         text = text.strip().lower()
         m = re.fullmatch(r"(\d+)\^(\d+)", text)
-        if m:
-            base, exp = int(m.group(1)), int(m.group(2))
-            if exp < 1:
-                raise ConfigError(f"exponent must be >= 1 in {text!r}")
-            return cls((base,) * exp)
         try:
-            dims = tuple(int(p) for p in text.split("x"))
+            parts = [int(p) for p in (m.groups() if m else text.split("x"))]
         except ValueError as exc:
             raise ConfigError(f"cannot parse shape {text!r}") from exc
-        return cls(dims)
+        if m and parts[1] < 1:
+            raise ConfigError(f"exponent must be >= 1 in {text!r}")
+        # 64 factors of at least 2 are already more than an array can index
+        return cls((parts[0],) * min(parts[1], 64) if m else tuple(parts))
 
     def __str__(self) -> str:
         return "x".join(str(d) for d in self.dims)

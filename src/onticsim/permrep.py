@@ -21,6 +21,7 @@ import numpy as np
 
 from .bitstate import OnticVector
 from .errors import ConfigError, DimensionCap, InvalidCycle, SizeMismatch
+from .indexing import check_points
 from .states import PureState
 
 __all__ = [
@@ -119,6 +120,7 @@ class Permutation:
         fixed.  Raises InvalidCycle on reuse or out-of-range points."""
         if n < 1:
             raise ConfigError(f"size must be >= 1, got {n}")
+        check_points(n, "a permutation")
         images = np.arange(n, dtype=np.int64)
         seen: set[int] = set()
         for cyc in cycles:

@@ -6,20 +6,20 @@ big side of a bipartition: with Psi the (subsystem x complement) reshape
 of the amplitudes, tr(rho_A**2) = ||Psi Psi†||_F**2 = ||Psi† Psi||_F**2,
 so the Gram matrix is always formed on the smaller side.
 
-Two kernels take the amplitudes of S states stacked as an (S, N) array
-and run in its dtype: float64 for the real states of the ontic basis,
-complex128 after a change to the energy basis.  ``purity`` serves one
-mask: it transposes the whole stack once into (S, subsystem dim,
-complement dim) and forms one 2-D Gram matrix per state.  ``evolve``
-uses it, a single PureState goes through it as a one-row stack, and the
-tests use it as the oracle of the second kernel.
+One kernel takes the amplitudes of S states stacked as an (S, N) array
+and runs in its dtype: float64 for the real states of the ontic basis,
+complex128 after a change to the energy basis.  ``_side`` picks the side
+of a complement pair to reduce, ``_gram_stack`` forms that side's reduced
+matrices by one transpose of the stack and one Gram product per state,
+and ``_rho_purities`` reduces them to range-checked purities.  ``purity``
+(one mask; ``evolve`` and a single PureState use it) and the roots of
+``sweep_purities`` go through all three, so they agree to the last bit.
 
-``sweep_purities`` serves every mask of a sweep at once.  It holds each
-complement pair once, on its smaller side, and orders those subsystems
-in a tree: the parent of a subsystem adds its lowest absent position.
-Only a subsystem whose parent is not in the sweep (a root) is reduced by
-a transpose and a Gram product; every other one is its parent's reduced
-matrix with one position traced out.
+``sweep_purities`` holds each complement pair of a sweep once and orders
+those subsystems in a tree: the parent of a subsystem adds its lowest
+absent position.  A subsystem whose parent is not in the sweep is a
+root; every other one is its parent's reduced matrix with one position
+traced out.
 """
 
 from __future__ import annotations
@@ -42,22 +42,19 @@ __all__ = [
 # slack on the purity range [1/min(d_A, d_B), 1] before a computed purity
 # counts as a broken invariant
 PURITY_TOLERANCE = 1e-9
+GRAM_DIM_CAP = 1 << 13  # largest Gram matrix side a sweep mask may need
 REDUCED_DENSITY_CAP = 4096  # largest subsystem dimension of reduced_density
 BRUTEFORCE_DIM_CAP = 256  # largest total dimension of the brute-force oracle
 
 
 def _check_proper(mask: SubsystemMask) -> None:
     if not mask.is_proper:
-        raise TrivialSubsystem(
-            "reduction needs a proper nonempty subset of the factor positions"
-        )
+        raise TrivialSubsystem("reduction needs a proper nonempty subset of the factor positions")
 
 
 def _check_pair(psi: PureState, mask: SubsystemMask) -> None:
     if psi.shape.dims != mask.shape.dims:
-        raise ConfigError(
-            f"mask shape {mask.shape} does not match state shape {psi.shape}"
-        )
+        raise ConfigError(f"mask shape {mask.shape} does not match state shape {psi.shape}")
     _check_proper(mask)
 
 
@@ -85,24 +82,16 @@ def bipartite_view(psi: PureState, mask: SubsystemMask) -> np.ndarray:
     return _bipartite_stack(psi.amps[np.newaxis], mask)[0]
 
 
-def _stack_purities(stack: np.ndarray, mask: SubsystemMask) -> np.ndarray:
-    """The kernel behind ``purity``, on an (S, N) stack already checked
-    against the mask."""
-    mats = _bipartite_stack(stack, mask)
-    d_a, d_b = mats.shape[1:]
-    out = np.empty(len(mats))
-    for row, m in enumerate(mats):
-        # on a real array .conj() returns the array itself, so the real
-        # path makes no conjugate copy
-        gram = m @ m.conj().T if d_a <= d_b else m.conj().T @ m
-        out[row] = np.vdot(gram, gram).real
-    _check_range(out, min(d_a, d_b), mask.mask)
-    return out
-
-
-def _check_range(purities: np.ndarray, dim: int, mask: int) -> None:
-    """NumericViolation unless every purity of one mask lies in
-    [1/dim, 1], dim the smaller side's dimension; NaN fails too."""
+def _rho_purities(rho: np.ndarray, mask: int) -> np.ndarray:
+    """tr(rho**2) of each matrix of an (S, d, d) Hermitian stack, as its
+    squared Frobenius norm.  NumericViolation names the mask and the row
+    unless every purity lies in [1/d, 1]; NaN fails too."""
+    flat = rho.reshape(len(rho), -1)
+    if flat.dtype.kind == "c":
+        # sum |z|**2 as the squares of the real and imaginary parts
+        flat = flat.view(flat.real.dtype)
+    purities = np.einsum("ij,ij->i", flat, flat)
+    dim = rho.shape[1]
     low, high = 1.0 / dim - PURITY_TOLERANCE, 1.0 + PURITY_TOLERANCE
     # Python floats: numpy's per-call cost would dominate one-state calls
     for row, p in enumerate(purities.tolist()):
@@ -110,6 +99,7 @@ def _check_range(purities: np.ndarray, dim: int, mask: int) -> None:
             raise NumericViolation(
                 f"purity {p!r} of mask 0b{mask:b}, state row {row}, outside [1/{dim}, 1]"
             )
+    return purities
 
 
 def _gram_stack(stack: np.ndarray, mask: SubsystemMask) -> np.ndarray:
@@ -118,8 +108,21 @@ def _gram_stack(stack: np.ndarray, mask: SubsystemMask) -> np.ndarray:
     mats = _bipartite_stack(stack, mask)
     rho = np.empty((len(mats), mask.dim, mask.dim), stack.dtype)
     for row, m in enumerate(mats):
+        # on a real array .conj() returns the array itself, so the real
+        # path makes no conjugate copy
         np.matmul(m, m.conj().T, out=rho[row])
     return rho
+
+
+def _side(mask: int, dim: int, shape: FactorizationShape) -> tuple[int, int]:
+    """The side of the pair (mask, complement) a reduced matrix is formed
+    on, and its dimension, for a mask of dimension ``dim``: the smaller
+    dimension, then fewer positions, then the side holding position 0."""
+    comp, comp_dim = mask ^ ((1 << shape.k) - 1), shape.total // dim
+    # the last key is 0 for the side holding position 0
+    if (comp_dim, comp.bit_count(), mask & 1) < (dim, mask.bit_count(), comp & 1):
+        return comp, comp_dim
+    return mask, dim
 
 
 def _dim_table(dims: tuple[int, ...]) -> list[int]:
@@ -138,10 +141,11 @@ def sweep_purities(
     each purity was computed in.
 
     A pure state gives a subsystem and its complement the same purity, so
-    each complement pair is computed once, on its node: the side of
-    smaller dimension, then of fewer positions, then the side holding
-    position 0.  ``source[j]`` is the column of the node of mask j's pair
-    when the node is among the masks, and j itself otherwise.
+    each complement pair is computed once, on its node, the side ``_side``
+    picks.  ``source[j]`` is the column of the node of mask j's pair when
+    the node is among the masks, and j itself otherwise.  The first mask
+    whose node has a dimension over ``GRAM_DIM_CAP`` raises ConfigError
+    before any Gram product is formed.
 
     The parent of a node m is m | (m + 1), m plus its lowest absent
     position.  A node whose parent is a node of this sweep is that
@@ -151,7 +155,6 @@ def sweep_purities(
     matrices from a root is alive at a time.  Every node's purities must
     lie in [1/d_node, 1], else NumericViolation names the node.
     """
-    full = (1 << shape.k) - 1
     # dimensions by lookup in two tables of 2**(K/2) entries each; one
     # table of 2**K would hold a million ints at K = 20
     half = shape.k // 2
@@ -161,15 +164,16 @@ def sweep_purities(
     def dim_of(m: int) -> int:
         return low_dims[m & ((1 << half) - 1)] * high_dims[m >> half]
 
-    def side_key(m: int) -> tuple[int, int, int]:
-        return dim_of(m), m.bit_count(), ~m & 1
-
     # node -> the column its purities go to: its own when enumerated,
     # else its complement's
     column: dict[int, int] = {}
     source = np.arange(len(masks), dtype=np.int64)
     for j, m in enumerate(masks):
-        node = min(m, full ^ m, key=side_key)
+        node, dim = _side(m, dim_of(m), shape)
+        if dim > GRAM_DIM_CAP:
+            raise ConfigError(
+                f"mask 0b{m:b} needs a {dim}-dim Gram matrix, over the budget {GRAM_DIM_CAP}"
+            )
         other = column.setdefault(node, j)
         if other != j:
             if node == m:
@@ -183,13 +187,7 @@ def sweep_purities(
 
     def visit(node: int, rho: np.ndarray) -> None:
         dim = rho.shape[1]
-        flat = rho.reshape(s, -1)
-        if flat.dtype.kind == "c":
-            # sum |z|**2 as the squares of the real and imaginary parts
-            flat = flat.view(flat.real.dtype)
-        purities = np.einsum("ij,ij->i", flat, flat)
-        _check_range(purities, dim, node)
-        out[:, column[node]] = purities
+        out[:, column[node]] = _rho_purities(rho, node)
         # a child drops one position pos of the node's lowest run
         # 0..run-1, which makes pos the child's lowest absent position
         run = (~node & (node + 1)).bit_length() - 1
@@ -212,8 +210,7 @@ def reduced_density(psi: PureState, mask: SubsystemMask) -> DensityMatrix:
     _check_pair(psi, mask)
     if mask.dim > REDUCED_DENSITY_CAP:
         raise DimensionCap(f"subsystem dimension {mask.dim} exceeds cap {REDUCED_DENSITY_CAP}")
-    m = bipartite_view(psi, mask)
-    gram = m @ m.conj().T
+    gram = _gram_stack(psi.amps[np.newaxis], mask)[0]
     # symmetrize away the last-bit asymmetry of the matrix product
     return DensityMatrix((gram + gram.conj().T) / 2.0)
 
@@ -239,10 +236,8 @@ def reduced_density_bruteforce(psi: PureState, mask: SubsystemMask) -> DensityMa
     return DensityMatrix(rho)
 
 
-def purity(
-    psi: PureState | np.ndarray, mask: SubsystemMask
-) -> float | np.ndarray:
-    """tr(rho_A**2) through the Gram matrix on the smaller side.
+def purity(psi: PureState | np.ndarray, mask: SubsystemMask) -> float | np.ndarray:
+    """tr(rho_A**2) through the Gram matrix on the side ``_side`` picks.
 
     ``psi`` is one PureState, giving one float, or the amplitudes of S
     states stacked as an (S, N) array, giving the S purities in one call
@@ -251,15 +246,18 @@ def purity(
     outside [1/min(d_A, d_B), 1] beyond ``PURITY_TOLERANCE`` raises
     NumericViolation naming the mask and the stack row.
     """
-    if isinstance(psi, PureState):
+    one = isinstance(psi, PureState)
+    if one:
         _check_pair(psi, mask)
-        return float(_stack_purities(psi.amps[np.newaxis], mask)[0])
-    if psi.ndim != 2 or psi.shape[1] != mask.shape.total:
-        raise ConfigError(
-            f"amplitude stack of shape {psi.shape} does not match {mask.shape}"
-        )
-    _check_proper(mask)
-    return _stack_purities(psi, mask)
+        psi = psi.amps[np.newaxis]
+    elif psi.ndim != 2 or psi.shape[1] != mask.shape.total:
+        raise ConfigError(f"amplitude stack of shape {psi.shape} does not match {mask.shape}")
+    else:
+        _check_proper(mask)
+    side, _ = _side(mask.mask, mask.dim, mask.shape)
+    rho = _gram_stack(psi, mask if side == mask.mask else mask.complement())
+    purities = _rho_purities(rho, mask.mask)
+    return float(purities[0]) if one else purities
 
 
 def purity_from_density(rho: DensityMatrix) -> float:

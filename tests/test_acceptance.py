@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracle import oracle_purities
 
 from onticsim.bitstate import (
     OnticVector,
@@ -75,8 +76,8 @@ def oracle_instances():
 def test_criterion_01_schmidt_symmetry(full_sweep):
     # The sweep computes each pair once, on one side, and copies it to the
     # other.  Here the side enumerated second, by (size, value), is computed
-    # on its own layout by the direct kernel, and both columns are checked
-    # against it.
+    # by an oracle that shares no code with the kernel, and both columns
+    # are checked against it.
     result, _ = full_sweep
     column = {m: j for j, m in enumerate(result.masks.tolist())}
     rng = random.Random(FULL_CONFIG.seed)
@@ -91,7 +92,7 @@ def test_criterion_01_schmidt_symmetry(full_sweep):
         comp = full ^ mask
         if (bin(mask).count("1"), mask) > (bin(comp).count("1"), comp):
             continue
-        own = purity(stack, SubsystemMask(comp, FULL_SHAPE))
+        own = oracle_purities(stack, FULL_SHAPE.dims, comp)
         for sid, p in enumerate(own.tolist()):
             s2 = collision_entropy(p)
             worst = max(
@@ -104,7 +105,7 @@ def test_criterion_01_schmidt_symmetry(full_sweep):
     report(
         "1 Schmidt symmetry",
         worst < 1e-9,
-        f"max |s2 swept - s2 on the complement's own layout| = {worst:.3e} "
+        f"max |s2 swept - oracle s2 of the complement| = {worst:.3e} "
         f"over {pairs} pairs, tol 1e-9",
     )
 

@@ -11,6 +11,7 @@ import onticsim.cli
 import onticsim.reduction
 from onticsim import __version__
 from onticsim.cli import main
+from onticsim.indexing import POINT_CAP
 from onticsim.permrep import random_permutation
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -83,6 +84,18 @@ class TestArea:
         code, out, _ = run_cli(capsys, "area", "--n", "1")
         assert code == 0
         assert "natural_state_lower_bound" not in out
+
+    def test_bound_of_the_most_digits_printed(self, capsys):
+        # 2**14284 - 2 has 4,300 digits, Python's default int-to-str limit
+        code, out, _ = run_cli(capsys, "area", "--n", "14284")
+        assert code == 0
+        assert len(out.split("natural_state_lower_bound=")[1].strip()) == 4300
+
+    def test_bound_over_the_digit_limit_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "area", "--n", "14300")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --n 14300: the state-count bound has over 4300 digits\n"
 
 
 class TestCycles:
@@ -353,9 +366,9 @@ class TestEvolve:
         assert "Traceback" not in err
 
     def test_out_of_range_purity_exits_3(self, capsys, monkeypatch):
-        kernel = onticsim.reduction._stack_purities
+        kernel = onticsim.reduction._gram_stack
         monkeypatch.setattr(
-            onticsim.reduction, "_stack_purities",
+            onticsim.reduction, "_gram_stack",
             lambda stack, mask: kernel(stack * 1.5, mask),
         )
         code, _, err = run_cli(
@@ -443,6 +456,30 @@ def test_out_of_memory_exits_2(run, argv, message, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == f"error: out of memory: {message or 'MemoryError'}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["evolve", "--shape", "2^62", "--generator", "()", "--mask", "1"], "a shape"),
+        (["evolve", "--shape", "2^64", "--generator", "()", "--mask", "1"], "a shape"),
+        (["sweep", "--shape", "2^70", "--states", "1"], "a shape"),
+        (["cycles", "--n", "100000000000000000000", "--samples", "1"], "a permutation"),
+        (
+            ["overlap", "--q", "100000000000000000000000:0x1",
+             "--r", "100000000000000000000000:0x2"],
+            "an ontic vector",
+        ),
+    ],
+    ids=["evolve-2^62", "evolve-2^64", "sweep-2^70", "cycles-1e20", "overlap-1e23"],
+)
+def test_size_no_array_can_index_exits_2(argv, what, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: {what} of more than {POINT_CAP} points: no array can index that many\n"
+    )
 
 
 def readme_commands():

@@ -11,6 +11,7 @@ import pytest
 
 import onticsim.experiment
 import onticsim.reduction
+from oracle import oracle_purities
 from onticsim.bitstate import OnticVector, popcount, random_ontic
 from onticsim.cli import _write_output
 from onticsim.entropy import collision_entropy
@@ -98,34 +99,35 @@ def node_of(mask, shape):
 
 def spy_lattice(monkeypatch):
     """Record the sweep kernel's root Gram products as (stack shape, dtype,
-    mask) and the masks whose purities it range-checks, in call order."""
+    mask) and the masks whose purities it reduces and range-checks, in
+    call order."""
     grams, checked = [], []
     gram_stack = onticsim.reduction._gram_stack
-    check_range = onticsim.reduction._check_range
+    rho_purities = onticsim.reduction._rho_purities
 
     def gram_spy(stack, mask):
         grams.append((stack.shape, stack.dtype, mask.mask))
         return gram_stack(stack, mask)
 
-    def check_spy(purities, dim, mask):
+    def check_spy(rho, mask):
         checked.append(mask)
-        return check_range(purities, dim, mask)
+        return rho_purities(rho, mask)
 
     monkeypatch.setattr(onticsim.reduction, "_gram_stack", gram_spy)
-    monkeypatch.setattr(onticsim.reduction, "_check_range", check_spy)
+    monkeypatch.setattr(onticsim.reduction, "_rho_purities", check_spy)
     return grams, checked
 
 
 def assert_complements_match_own_layout(result, config, tol):
-    """Both columns of each complement pair against the purity the test
-    computes on the copied side's own layout, so the Schmidt symmetry is
-    checked between two separately computed Gram products."""
+    """Both columns of each complement pair against the oracle purity of
+    the copied side, so every copy the sweep makes is checked against a
+    purity computed by code it does not share."""
     stack = sweep_stack(config)
     column = columns(result)
     pairs = copied_sides(result, config.shape.k)
     assert pairs
     for mask, comp in pairs:
-        direct = purity(stack, SubsystemMask(comp, config.shape))
+        direct = oracle_purities(stack, config.shape.dims, comp)
         for sid, p in enumerate(direct.tolist()):
             own = collision_entropy(p)
             assert abs(result.s2_bits[sid, column[mask]] - own) < tol
@@ -158,7 +160,7 @@ class TestSweepConfig:
             SweepConfig(shape=FactorizationShape((2, 2)), seed=-3).validate()
 
     def test_memory_budget(self, monkeypatch):
-        monkeypatch.setattr(onticsim.experiment, "GRAM_DIM_CAP", 16)
+        monkeypatch.setattr(onticsim.reduction, "GRAM_DIM_CAP", 16)
         shape = FactorizationShape.parse("2^12")
         config = SweepConfig(shape=shape, num_states=1)
         with pytest.raises(ConfigError):
@@ -166,7 +168,8 @@ class TestSweepConfig:
 
 
     def test_memory_budget_names_the_first_mask_over_it(self, monkeypatch):
-        monkeypatch.setattr(onticsim.experiment, "GRAM_DIM_CAP", 16)
+        monkeypatch.setattr(onticsim.reduction, "GRAM_DIM_CAP", 16)
+        grams, _ = spy_lattice(monkeypatch)
         shape = FactorizationShape((2, 3, 5, 7, 2, 3))
         for mask in (
             _mask_of_rank(shape.k, a, rank)
@@ -182,7 +185,9 @@ class TestSweepConfig:
         )
         assert message == "mask 0b1010 needs a 21-dim Gram matrix, over the budget 16"
         with pytest.raises(ConfigError, match=f"^{message}$"):
-            _enumerate_masks(SweepConfig(shape=shape), random.Random(0))
+            run_sweep(SweepConfig(shape=shape, num_states=1))
+        # the check runs before any Gram product is formed
+        assert grams == []
 
 
 class TestRunSweep:
@@ -436,11 +441,10 @@ class TestRunSweep:
         result = run_sweep(config)
         stack = sweep_stack(config)
         assert result.purity.shape == (3, (1 << shape.k) - 2)
-        for sid in range(3):
-            row = stack[sid:sid + 1]
-            for j, mask in enumerate(result.masks.tolist()):
-                direct = purity(row, SubsystemMask(mask, shape))
-                assert abs(result.purity[sid, j] - direct[0]) < 1e-12
+        for j, mask in enumerate(result.masks.tolist()):
+            direct = oracle_purities(stack, dims, mask)
+            for sid in range(3):
+                assert abs(result.purity[sid, j] - direct[sid]) < 1e-12
 
     @pytest.mark.parametrize("basis", ["ontic", "energy"])
     def test_one_entropy_call_per_sweep(self, monkeypatch, basis):
@@ -470,7 +474,7 @@ class TestRunSweep:
 
 class TestLattice:
     """The sweep kernel, which traces most subsystems out of a larger one,
-    against the direct kernel on each mask's own layout."""
+    against an oracle that shares no code with it."""
 
     @pytest.mark.parametrize("basis", ["ontic", "energy"])
     @pytest.mark.parametrize(
@@ -504,8 +508,27 @@ class TestLattice:
         stack = sweep_stack(config)
         assert stack.dtype == (np.float64 if basis == "ontic" else np.complex128)
         for j, mask in enumerate(result.masks.tolist()):
-            direct = purity(stack, SubsystemMask(mask, shape))
+            direct = oracle_purities(stack, shape.dims, mask)
             assert np.abs(result.purity[:, j] - direct).max() < 1e-12, mask
+
+    @pytest.mark.parametrize(
+        "text, basis", [("2^10", "ontic"), ("2x3x2x3x2x3", "ontic"), ("2^10", "energy")]
+    )
+    def test_roots_equal_purity_bit_for_bit(self, text, basis):
+        # a root's matrix comes from the same Gram former and reducer as
+        # purity's, so the two agree to the last bit
+        shape = FactorizationShape.parse(text)
+        generator = random_permutation(shape.total, seed=23) if basis == "energy" else None
+        config = SweepConfig(shape=shape, num_states=3, seed=23, generator=generator)
+        result = run_sweep(config)
+        stack = sweep_stack(config)
+        nodes = {node_of(m, shape) for m in result.masks.tolist()}
+        roots = [m for m in nodes if m | (m + 1) not in nodes]
+        assert len(roots) > shape.k
+        column = columns(result)
+        for root in roots:
+            direct = purity(stack, SubsystemMask(root, shape))
+            assert np.array_equal(result.purity[:, column[root]], direct), root
 
     @pytest.mark.parametrize("scale", [10.0, 0.1, float("nan")])
     def test_corrupted_root_names_its_mask(self, monkeypatch, scale):
@@ -584,7 +607,7 @@ class TestSummaries:
         own = result.purity.copy()
         copied = [comp for _, comp in copied_sides(result, 3)]
         for comp in copied:
-            own[:, column[comp]] = purity(stack, SubsystemMask(comp, shape))
+            own[:, column[comp]] = oracle_purities(stack, shape.dims, comp)
         s2 = np.array([[collision_entropy(p) for p in row] for row in own.tolist()])
         separate = dataclasses.replace(result, purity=own, s2_bits=s2)
         assert own.shape == (2, 6) and len(copied) == 3

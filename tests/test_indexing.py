@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from onticsim.errors import ConfigError, IndexOutOfRange
 from onticsim.indexing import (
+    POINT_CAP,
     FactorizationShape,
     SubsystemMask,
     decode,
@@ -40,6 +41,16 @@ class TestShape:
             FactorizationShape.parse("2xx3")
         with pytest.raises(ConfigError):
             FactorizationShape.parse("")
+
+    def test_point_cap(self):
+        # no array is built: the shape only checks the product of its dims
+        assert FactorizationShape((2,) * 58).total == 1 << 58 <= POINT_CAP
+        for dims in [(2,) * 59, (POINT_CAP + 1, 2), (3,) * 40]:
+            with pytest.raises(ConfigError, match="no array can index that many"):
+                FactorizationShape(dims)
+        # an exponent too long to build as a tuple is rejected all the same
+        with pytest.raises(ConfigError, match="no array can index that many"):
+            FactorizationShape.parse("2^" + "9" * 40)
 
     def test_dimension_floor(self):
         with pytest.raises(ConfigError):
