@@ -20,11 +20,11 @@ import numpy as np
 from . import __version__
 from .bitstate import OnticVector, random_ontic
 from .entropy import collision_entropy
-from .errors import ConfigError, EmptyInput, SizeMismatch
+from .errors import ConfigError, EmptyInput, NumericViolation, SizeMismatch
 from .indexing import FactorizationShape, SubsystemMask, check_points
-from .permrep import Permutation, apply_permutation, energy_basis
+from .permrep import Permutation, energy_basis
 from .reduction import purity, sweep_purities
-from .states import state_from_ontic
+from .states import NORM_TOLERANCE, state_from_ontic
 
 __all__ = [
     "SweepConfig",
@@ -42,8 +42,9 @@ __all__ = [
 ]
 
 CSV_HEADER = "state_id,subset_mask,subset_size,purity,s2_bits"
-# points the cycle census labels per batch (at least one whole sample)
-CENSUS_BATCH_POINTS = 1 << 14
+# points per batch, at least one whole sample or state: the cycle census
+# labels that many, a time series evolves and reduces that many
+BATCH_POINTS = 1 << 14
 # rows an output table is formatted and written in at a time
 CSV_BLOCK_ROWS = 1 << 12
 
@@ -297,10 +298,16 @@ def run_time_series(
     t -> g**t applied to the state built from q.
 
     Times outside one period [0, order) are rejected unless ``allow_wrap``
-    is set, in which case they fold modulo the order.
+    is set, in which case they fold modulo the order.  The evolved states
+    are built ``BATCH_POINTS`` points at a time, each one gather of the
+    state at the time listed before it (one index array per distinct
+    step), and each block is norm-checked and reduced by one ``purity``
+    call.
     """
     if g.n != shape.total:
         raise SizeMismatch(f"generator size {g.n} != shape total {shape.total}")
+    if mask.shape != shape:
+        raise ConfigError(f"mask shape {mask.shape} does not match state shape {shape}")
     ts = [int(t) for t in t_range]
     if not allow_wrap:
         bad = [t for t in ts if not 0 <= t < g.order]
@@ -309,9 +316,33 @@ def run_time_series(
                 f"time {bad[0]} outside one period [0, {g.order}); "
                 "pass allow_wrap to fold"
             )
-    psi0 = state_from_ontic(q, shape)
-    purities = [purity(apply_permutation(g, psi0, t), mask) for t in ts]
-    return list(zip(ts, collision_entropy(np.array(purities)).tolist()))
+    prev, t_prev = state_from_ontic(q, shape).amps, 0
+    rows = max(1, BATCH_POINTS // shape.total)
+    # step (mod the order) -> index array of the state at t from the one
+    # at t - step: amplitude j comes from point g**-step(j)
+    gathers: dict[int, np.ndarray] = {}
+    purities = [np.empty(0)]
+    for start in range(0, len(ts), rows):
+        times = ts[start : start + rows]
+        block = np.empty((len(times), shape.total), prev.dtype)
+        for row, t in zip(block, times):
+            step = (t - t_prev) % g.order
+            if step not in gathers:
+                gathers[step] = g.power_images(-step)
+            prev.take(gathers[step], out=row)
+            prev, t_prev = row, t
+        # |z|**2 summed as the squares of the real and imaginary parts, and
+        # checked as Python floats: numpy's per-call cost would dominate
+        flat = block.view(block.real.dtype)
+        for t, square in zip(times, np.einsum("ij,ij->i", flat, flat).tolist()):
+            norm = math.sqrt(square)
+            if not abs(norm - 1.0) <= NORM_TOLERANCE:
+                raise NumericViolation(
+                    f"state norm {norm!r} at t={t} is not 1 within {NORM_TOLERANCE}"
+                )
+        purities.append(purity(block, mask))
+    s2 = collision_entropy(np.concatenate(purities))
+    return list(zip(ts, s2.tolist()))
 
 
 @dataclass(frozen=True)
@@ -347,7 +378,7 @@ def run_cycle_census(n: int, samples: int, seed: int | None = 0) -> CycleCensus:
     if seed is not None and seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    rows = max(1, CENSUS_BATCH_POINTS // n)
+    rows = max(1, BATCH_POINTS // n)
     sums = [0] * (n + 1)
     squares = [0] * (n + 1)
     for done in range(0, samples, rows):

@@ -105,7 +105,15 @@ class Permutation:
     def __post_init__(self) -> None:
         arr = np.array(self.images, dtype=np.int64, copy=True)
         n = arr.size
-        if arr.ndim != 1 or n < 1 or not np.array_equal(np.sort(arr), np.arange(n)):
+        # n entries in range, none repeated, hit every point once; the
+        # range check must come first, np.bincount rejects negatives
+        if (
+            arr.ndim != 1
+            or n < 1
+            or arr.min() < 0
+            or arr.max() >= n
+            or np.bincount(arr, minlength=n).max() != 1
+        ):
             raise InvalidCycle("images do not form a bijection of 0..n-1")
         arr.setflags(write=False)
         object.__setattr__(self, "images", arr)

@@ -12,7 +12,8 @@ complex128 after a change to the energy basis.  ``_side`` picks the side
 of a complement pair to reduce, ``_gram_stack`` forms that side's reduced
 matrices by one transpose of the stack and one Gram product per state,
 and ``_rho_purities`` reduces them to range-checked purities.  ``purity``
-(one mask; ``evolve`` and a single PureState use it) and the roots of
+(one mask of one PureState or of a stack of states; ``evolve`` passes
+it one stack per block of time steps) and the roots of
 ``sweep_purities`` go through all three, so they agree to the last bit.
 
 ``sweep_purities`` holds each complement pair of a sweep once and orders

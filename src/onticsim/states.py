@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 DENSITY_FULL_CAP = 256  # largest dimension density_full builds a matrix for
+NORM_TOLERANCE = 1e-12  # largest |norm - 1| a state may have
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,8 @@ class PureState:
                 f"amplitude vector must have length {self.shape.total}, got {arr.shape}"
             )
         norm = np.linalg.norm(arr)
-        if not abs(norm - 1.0) <= 1e-12:
-            raise NumericViolation(f"state norm {norm!r} is not 1 within 1e-12")
+        if not abs(norm - 1.0) <= NORM_TOLERANCE:
+            raise NumericViolation(f"state norm {norm!r} is not 1 within {NORM_TOLERANCE}")
         arr.setflags(write=False)
         object.__setattr__(self, "amps", arr)
 

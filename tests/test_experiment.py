@@ -11,13 +11,13 @@ import pytest
 
 import onticsim.experiment
 import onticsim.reduction
-from oracle import oracle_purities
+from oracle import exact_purity, oracle_purities
 from onticsim.bitstate import OnticVector, popcount, random_ontic
-from onticsim.cli import _write_output
+from onticsim.cli import _write_output, main
 from onticsim.entropy import collision_entropy
 from onticsim.errors import ConfigError, EmptyInput, NumericViolation
 from onticsim.experiment import (
-    CENSUS_BATCH_POINTS,
+    BATCH_POINTS,
     CSV_BLOCK_ROWS,
     CycleCensus,
     CycleCountStat,
@@ -33,7 +33,13 @@ from onticsim.experiment import (
     sweep_csv,
 )
 from onticsim.indexing import FactorizationShape, SubsystemMask
-from onticsim.permrep import Permutation, energy_basis, evolve_ontic, random_permutation
+from onticsim.permrep import (
+    Permutation,
+    apply_permutation,
+    energy_basis,
+    evolve_ontic,
+    random_permutation,
+)
 from onticsim.reduction import purity, sweep_purities
 from onticsim.states import PureState, state_from_ontic
 
@@ -732,6 +738,27 @@ class TestStreamedCsv:
         assert max(peaks) < 3_000_000
 
 
+# (dims, generator, mask positions) of the blocked-series tests: an int is
+# the size of a random generator, whose period is too long to walk
+SERIES_GENERATORS = [
+    ((2,) * 12, 4096, range(6)),
+    # 128 against 32: reduced on the complement's side
+    ((2,) * 12, 4096, range(7)),
+    ((2,) * 12, "(0 1 2 3 4 5 6 7 8 9 10)(11 12 13)", range(6)),
+    ((2,) * 12, "(0 1 2 3 4 5 6 7 8 9 10)(11 12 13)", range(8)),
+    ((2, 3, 2, 3, 2), 72, [0, 1]),
+    ((2, 3, 2, 3, 2), 72, [1, 2, 3]),
+    ((2, 3, 2, 3, 2), "(0 1 2 3 4 5 6 7 8 9 10)(11 12 13)", [0, 1]),
+    ((2, 3, 2, 3, 2), "(0 1 2 3 4 5 6 7 8 9 10)(11 12 13)", [1, 2, 3]),
+]
+SERIES_CASES = [
+    (dims, generator, positions, times)
+    for dims, generator, positions in SERIES_GENERATORS
+    for times in ("none", "first-five", "second-period", "unordered")
+    if not (times == "second-period" and isinstance(generator, int))
+]
+
+
 class TestTimeSeries:
     def test_identity_generator_constant(self):
         shape = FactorizationShape((2, 2, 2))
@@ -761,6 +788,14 @@ class TestTimeSeries:
         mask = SubsystemMask.from_positions(shape, [0])
         with pytest.raises(ConfigError):
             run_time_series(shape, q, g, mask, range(3))
+
+    def test_mask_of_another_shape_rejected(self):
+        # same total, other factors: the stack alone cannot tell them apart
+        shape = FactorizationShape((2, 3, 2, 2))
+        mask = SubsystemMask.from_positions(FactorizationShape((3, 2, 2, 2)), [0])
+        g = random_permutation(24, seed=39)
+        with pytest.raises(ConfigError, match="does not match"):
+            run_time_series(shape, random_ontic(24, seed=40), g, mask, range(3), allow_wrap=True)
 
     def test_one_entropy_call_per_series(self, monkeypatch):
         calls = []
@@ -801,25 +836,124 @@ class TestTimeSeries:
         q = random_ontic(24, seed=21)
         g = random_permutation(24, seed=22)
         mask = SubsystemMask.from_positions(shape, [0, 1])
-        dtypes = []
+        stacks = []
 
-        def spy(psi, mask):
-            dtypes.append(psi.amps.dtype)
-            return purity(psi, mask)
+        def spy(stack, mask):
+            stacks.append((stack.shape, stack.dtype))
+            return purity(stack, mask)
 
         def as_complex(q, shape):
             return PureState(state_from_ontic(q, shape).amps.astype(np.complex128), shape)
 
         monkeypatch.setattr(onticsim.experiment, "purity", spy)
+        # 10 rows a block: several blocks, the last one short
+        monkeypatch.setattr(onticsim.experiment, "BATCH_POINTS", 10 * 24 + 5)
         real = run_time_series(shape, q, g, mask, range(g.order))
-        assert dtypes == [np.float64] * g.order
-        dtypes.clear()
+        assert g.order % 10
+        assert [rows for (rows, _), _ in stacks] == [10] * (g.order // 10) + [g.order % 10]
+        assert {(n, dtype) for (_, n), dtype in stacks} == {(24, np.dtype(np.float64))}
+        stacks.clear()
         monkeypatch.setattr(onticsim.experiment, "state_from_ontic", as_complex)
         cast = run_time_series(shape, q, g, mask, range(g.order))
-        assert dtypes == [np.complex128] * g.order
+        assert {(n, dtype) for (_, n), dtype in stacks} == {(24, np.dtype(np.complex128))}
         for (t, a), (u, b) in zip(real, cast):
             assert t == u
             assert abs(a - b) < 1e-12
+
+    @pytest.mark.parametrize("dims, generator, positions, times", SERIES_CASES)
+    def test_blocks_equal_per_step_path(self, monkeypatch, dims, generator, positions, times):
+        shape = FactorizationShape(dims)
+        n = shape.total
+        if isinstance(generator, int):
+            g = random_permutation(generator, seed=33)
+        else:
+            g = Permutation.parse(n, generator)
+        ts = {
+            "none": range(0),
+            "first-five": range(5),
+            "second-period": range(g.order, 2 * g.order),
+            "unordered": [7, 3, 3, -2, (1 << 62) + 5, 0, 1, g.order + 4],
+        }[times]
+        mask = SubsystemMask.from_positions(shape, positions)
+        q = random_ontic(n, seed=34)
+        psi0 = state_from_ontic(q, shape)
+        expected = [purity(apply_permutation(g, psi0, t), mask) for t in ts]
+        expected = list(zip(ts, collision_entropy(np.array(expected)).tolist()))
+        # 3 rows a block, so no list here fills its last block
+        monkeypatch.setattr(onticsim.experiment, "BATCH_POINTS", 3 * n + 1)
+        assert run_time_series(shape, q, g, mask, ts, allow_wrap=True) == expected
+
+    def test_a_range_makes_two_gathers_and_one_purity_call_per_block(self, monkeypatch):
+        gathers, stacks = [], []
+        power_images = Permutation.power_images
+
+        def counted_gather(self, t):
+            gathers.append(t)
+            return power_images(self, t)
+
+        def counted_purity(stack, mask):
+            stacks.append(stack.shape)
+            return purity(stack, mask)
+
+        monkeypatch.setattr(Permutation, "power_images", counted_gather)
+        monkeypatch.setattr(onticsim.experiment, "purity", counted_purity)
+        shape = FactorizationShape((2,) * 12)
+        g = random_permutation(4096, seed=35)
+        mask = SubsystemMask.from_positions(shape, range(7))
+        series = run_time_series(shape, random_ontic(4096, seed=36), g, mask, range(5, 104))
+        rows = BATCH_POINTS // 4096
+        assert len(series) == 99
+        # the step 5 to the first time, then the step 1
+        assert len(gathers) == 2
+        assert len(stacks) == math.ceil(99 / rows)
+        assert stacks == [(rows, 4096)] * (99 // rows) + [(99 % rows, 4096)]
+
+    def test_corrupted_gather_is_a_numeric_violation(self, monkeypatch, capsys):
+        power_images = Permutation.power_images
+
+        def duplicated(self, t):
+            # point 1 read twice and point 0, the one set bit, never
+            images = power_images(self, t).copy()
+            images[images == 0] = 1
+            return images
+
+        monkeypatch.setattr(Permutation, "power_images", duplicated)
+        shape = FactorizationShape((2,) * 4)
+        q = OnticVector.from_array([1] + [0] * 15)
+        g = Permutation.parse(16, "(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)")
+        mask = SubsystemMask.from_positions(shape, [0, 1])
+        with pytest.raises(NumericViolation, match="state norm .* at t=0 "):
+            run_time_series(shape, q, g, mask, range(16))
+        argv = ["evolve", "--shape", "2^4", "--generator", g.cycle_string(),
+                "--mask", "1,2", "--ontic", q.serialize(), "--t-max", "15"]
+        assert main(argv) == 3
+        assert "numeric invariant violated: state norm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "dims, positions",
+        [
+            ((2,) * 6, [0, 2, 4]),
+            # 16 against 4: reduced on the complement's side
+            ((2,) * 6, [1, 2, 3, 4]),
+            ((2, 3, 2, 2), [1]),
+            ((2, 3, 2, 2), [0, 1, 2]),
+        ],
+    )
+    def test_exact_integer_oracle(self, monkeypatch, dims, positions):
+        shape = FactorizationShape(dims)
+        n = shape.total
+        g = random_permutation(n, seed=37)
+        mask = SubsystemMask.from_positions(shape, positions)
+        monkeypatch.setattr(onticsim.experiment, "BATCH_POINTS", 4 * n + 3)
+        for seed in range(3):
+            q = random_ontic(n, seed=38 + seed)
+            ts = range(0, 3 * n, 2)
+            series = run_time_series(shape, q, g, mask, ts, allow_wrap=True)
+            assert [t for t, _ in series] == list(ts)
+            for t, s2 in series:
+                bits = evolve_ontic(g, q, t).to_array().tolist()
+                exact = -math.log2(exact_purity(bits, dims, positions))
+                assert abs(s2 - exact) <= 1e-12, (seed, t)
 
 
 def census_by_row_walk(n, samples, seed):
@@ -873,7 +1007,7 @@ class TestCycleCensus:
             (20, 1, 3),
             (33, 1000, 4),
             # one sample is more points than a batch
-            (CENSUS_BATCH_POINTS + 5, 3, 5),
+            (BATCH_POINTS + 5, 3, 5),
         ],
     )
     def test_equals_row_walk(self, n, samples, seed):
@@ -882,7 +1016,7 @@ class TestCycleCensus:
     @pytest.mark.parametrize("batch_points", [1, 7, 64])
     def test_batch_size_does_not_change_the_census(self, monkeypatch, batch_points):
         whole = run_cycle_census(9, 200, seed=6)
-        monkeypatch.setattr(onticsim.experiment, "CENSUS_BATCH_POINTS", batch_points)
+        monkeypatch.setattr(onticsim.experiment, "BATCH_POINTS", batch_points)
         assert run_cycle_census(9, 200, seed=6) == whole
 
     def test_memory_does_not_grow_with_samples(self):

@@ -113,6 +113,12 @@ class TestSubsystemMask:
         assert mask.dim == 4
         assert mask.complement().positions == (1,)
 
+    def test_complement_built_once(self):
+        shape = FactorizationShape((2, 3, 2))
+        mask = SubsystemMask.from_positions(shape, [0, 2])
+        assert mask.complement() is mask.complement()
+        assert mask.complement() == SubsystemMask(0b010, shape)
+
     def test_parse_one_based(self):
         shape = FactorizationShape((2,) * 6)
         mask = SubsystemMask.parse(shape, "1,3,5")

@@ -152,6 +152,18 @@ class TestBijectionCheck:
         with pytest.raises(InvalidCycle):
             Permutation(images)
 
+    @pytest.mark.parametrize(
+        "point, value",
+        [(5000, -1), (5000, -16_380), (5000, 16_380), (0, 1 << 40), (5000, 7)],
+        ids=["negative", "minus-n", "equal-n", "far-above-n", "duplicate"],
+    )
+    def test_one_bad_entry_in_a_census_block_is_rejected(self, point, value):
+        images = census_block().images.copy()
+        assert images[point] != value
+        images[point] = value
+        with pytest.raises(InvalidCycle):
+            Permutation(images)
+
     def test_accepted_images_are_a_read_only_copy(self):
         source = np.array([2, 0, 1])
         g = Permutation(source)
