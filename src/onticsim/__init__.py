@@ -1,7 +1,7 @@
 """Finite-dimensional quantum states from bit vectors: Hilbert-space
 factorization, subsystem entropies, and permutation evolutions."""
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .bitstate import (
     OnticVector,
@@ -52,34 +52,25 @@ from .indexing import (
     SubsystemMask,
     decode,
     encode,
-    merge_index,
     natural_state_lower_bound,
     orthant_sphere_area,
-    split_index,
 )
 from .permrep import (
     EnergyBasis,
     Permutation,
-    apply_permutation,
     energy_basis,
     evolve_ontic,
-    fourier_block,
-    permutation_matrix,
     random_permutation,
 )
 from .reduction import (
-    bipartite_view,
     purity,
-    purity_from_density,
     reduced_density,
-    reduced_density_bruteforce,
     sweep_purities,
 )
 from .states import (
     DensityMatrix,
     NaturalVector,
     PureState,
-    density_full,
     project_standard,
     state_from_natural,
     state_from_ontic,

@@ -5,14 +5,17 @@ Subcommands: ``sweep`` (subsystem entropies over random states), ``evolve``
 statistics of random permutations), ``overlap`` (state overlap of two bit
 patterns), ``area`` (orthant sphere area and the state-count lower bound).
 
-Exit codes: 0 success, 2 configuration error or a run that does not fit
-in memory, 3 numeric-invariant violation.
+Exit codes: 0 success, 2 configuration error, an output that cannot be
+opened or written, or a run that does not fit in memory, 3 numeric-invariant
+violation.  A stdout closed by its reader (``| head``) ends the run
+silently with exit 1, as Python's own SIGPIPE handling does.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from collections.abc import Iterable
 
@@ -237,7 +240,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that closed stdout early is seen here, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: send what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except NumericViolation as exc:
         print(f"numeric invariant violated: {exc}", file=sys.stderr)
         return 3

@@ -3,9 +3,7 @@ local basis indices.
 
 The convention is big-endian: for dims (d_1, ..., d_K) the first local
 index is the most significant digit, i = i_1*d_2*...*d_K + ... + i_K.
-Subsystems are subsets of the K factor positions; ``split_index`` sends a
-global index to its (subsystem, complement) digit pair and ``merge_index``
-inverts that.
+Subsystems are subsets of the K factor positions, held as bit masks.
 """
 
 from __future__ import annotations
@@ -23,8 +21,6 @@ __all__ = [
     "SubsystemMask",
     "encode",
     "decode",
-    "split_index",
-    "merge_index",
     "natural_state_lower_bound",
     "orthant_sphere_area",
 ]
@@ -176,48 +172,6 @@ def decode(shape: FactorizationShape, index: int) -> tuple[int, ...]:
     if not 0 <= index < shape.total:
         raise IndexOutOfRange(f"index {index} outside [0, {shape.total})")
     return tuple((index // s) % d for s, d in zip(shape.strides, shape.dims))
-
-
-def split_index(shape: FactorizationShape, mask: SubsystemMask, index: int) -> tuple[int, int]:
-    """Send a global index to its (subsystem, complement) digit pair.
-
-    Each half is re-encoded big-endian over its positions in ascending
-    order; the map index -> (row, col) is a bijection onto the product of
-    the two subsystem dimension ranges.
-    """
-    locs = decode(shape, index)
-    row = col = 0
-    for pos in range(shape.k):
-        if mask.mask >> pos & 1:
-            row = row * shape.dims[pos] + locs[pos]
-        else:
-            col = col * shape.dims[pos] + locs[pos]
-    return row, col
-
-
-def _digits_of(value: int, dims: list[int]) -> list[int]:
-    total = math.prod(dims)
-    if not 0 <= value < total:
-        raise IndexOutOfRange(f"index {value} outside [0, {total})")
-    out = []
-    for d in reversed(dims):
-        out.append(value % d)
-        value //= d
-    return out[::-1]
-
-
-def merge_index(shape: FactorizationShape, mask: SubsystemMask, row: int, col: int) -> int:
-    """Inverse of :func:`split_index`."""
-    inside = mask.positions
-    outside = mask.complement().positions
-    digits_in = _digits_of(int(row), [shape.dims[p] for p in inside])
-    digits_out = _digits_of(int(col), [shape.dims[p] for p in outside])
-    locs = [0] * shape.k
-    for p, v in zip(inside, digits_in):
-        locs[p] = v
-    for p, v in zip(outside, digits_out):
-        locs[p] = v
-    return encode(shape, locs)
 
 
 def natural_state_lower_bound(n: int) -> int:

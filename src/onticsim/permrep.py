@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .bitstate import OnticVector
-from .errors import ConfigError, DimensionCap, InvalidCycle, SizeMismatch
+from .errors import ConfigError, InvalidCycle, SizeMismatch
 from .indexing import check_points
 from .states import PureState
 
@@ -28,14 +28,9 @@ __all__ = [
     "Permutation",
     "EnergyBasis",
     "random_permutation",
-    "apply_permutation",
     "evolve_ontic",
-    "fourier_block",
-    "permutation_matrix",
     "energy_basis",
 ]
-
-MATRIX_DIM_CAP = 4096  # largest n for which a dense n x n matrix is built
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -231,18 +226,6 @@ def random_permutation(n: int, seed: int | None = None) -> Permutation:
     return Permutation(rng.permutation(n))
 
 
-def apply_permutation(g: Permutation, psi: PureState, t: int = 1) -> PureState:
-    """Relabel basis components along the evolution: the amplitude at i
-    moves to the image of i under g**t."""
-    if g.n != psi.dim:
-        raise SizeMismatch(f"permutation size {g.n} != state dimension {psi.dim}")
-    if t % g.order == 0:
-        return psi
-    out = np.empty_like(psi.amps)
-    out[g.power_images(t)] = psi.amps
-    return PureState(out, psi.shape)
-
-
 def evolve_ontic(g: Permutation, q: OnticVector, t: int = 1) -> OnticVector:
     """Image of the subset under g**t: element i lands on its image, so
     building a state from the result commutes with evolving the state."""
@@ -252,30 +235,6 @@ def evolve_ontic(g: Permutation, q: OnticVector, t: int = 1) -> OnticVector:
     out = np.empty_like(arr)
     out[g.power_images(t)] = arr
     return OnticVector.from_array(out)
-
-
-def fourier_block(length: int) -> np.ndarray:
-    """The unitary, symmetric discrete Fourier matrix with entries
-    omega**(-j*k) / sqrt(length), omega = exp(2 pi i / length).
-
-    Conjugating the cyclic shift by it yields the diagonal matrix
-    diag(1, omega, ..., omega**(length-1)).  Being symmetric and unitary,
-    its inverse is its elementwise conjugate.
-    """
-    if length < 1:
-        raise ConfigError(f"block length must be >= 1, got {length}")
-    j = np.arange(length)
-    phases = np.outer(j, j) % length
-    return np.exp(-2j * np.pi * phases / length) / math.sqrt(length)
-
-
-def permutation_matrix(g: Permutation) -> np.ndarray:
-    """Dense 0/1 matrix of the permutation: row i is set at column images[i]."""
-    if g.n > MATRIX_DIM_CAP:
-        raise DimensionCap(f"refusing {g.n}x{g.n} matrix (cap {MATRIX_DIM_CAP})")
-    mat = np.zeros((g.n, g.n))
-    mat[np.arange(g.n), g.images] = 1.0
-    return mat
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,16 +291,6 @@ class EnergyBasis:
         for length, slots, pts in self._groups():
             out[pts] = np.fft.ifft(psi.amps[slots], axis=1) * math.sqrt(length)
         return PureState(out, psi.shape)
-
-    def matrix(self) -> np.ndarray:
-        """Dense transition matrix (tests and small systems only)."""
-        n = self.generator.n
-        if n > MATRIX_DIM_CAP:
-            raise DimensionCap(f"refusing {n}x{n} matrix (cap {MATRIX_DIM_CAP})")
-        mat = np.zeros((n, n), dtype=np.complex128)
-        for length, slots, pts in self._groups():
-            mat[slots[:, :, None], pts[:, None, :]] = fourier_block(length)
-        return mat
 
 
 def energy_basis(g: Permutation) -> EnergyBasis:

@@ -1,5 +1,5 @@
-"""Subsystem reduction of pure states: bipartite reshapes, reduced density
-matrices, and purities.
+"""Subsystem reduction of pure states: reduced density matrices and
+purities.
 
 For a global pure state the reduced matrix never has to be built on the
 big side of a bipartition: with Psi the (subsystem x complement) reshape
@@ -28,24 +28,16 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DimensionCap, NumericViolation, TrivialSubsystem
-from .indexing import FactorizationShape, SubsystemMask, merge_index
+from .indexing import FactorizationShape, SubsystemMask
 from .states import DensityMatrix, PureState
 
-__all__ = [
-    "bipartite_view",
-    "reduced_density",
-    "reduced_density_bruteforce",
-    "purity",
-    "purity_from_density",
-    "sweep_purities",
-]
+__all__ = ["reduced_density", "purity", "sweep_purities"]
 
 # slack on the purity range [1/min(d_A, d_B), 1] before a computed purity
 # counts as a broken invariant
 PURITY_TOLERANCE = 1e-9
 GRAM_DIM_CAP = 1 << 13  # largest Gram matrix side a sweep mask may need
 REDUCED_DENSITY_CAP = 4096  # largest subsystem dimension of reduced_density
-BRUTEFORCE_DIM_CAP = 256  # largest total dimension of the brute-force oracle
 
 
 def _check_proper(mask: SubsystemMask) -> None:
@@ -69,18 +61,6 @@ def _bipartite_stack(stack: np.ndarray, mask: SubsystemMask) -> np.ndarray:
     axes += [1 + p for p in range(mask.shape.k) if not mask.mask >> p & 1]
     tensor = stack.reshape((s,) + mask.shape.dims).transpose(axes)
     return np.ascontiguousarray(tensor).reshape(s, mask.dim, -1)
-
-
-def bipartite_view(psi: PureState, mask: SubsystemMask) -> np.ndarray:
-    """Arrange amplitudes as a contiguous (subsystem dim) x (complement dim)
-    matrix: rows run over subsystem digits and columns over complement
-    digits (both big-endian over ascending positions).
-
-    Entry placement agrees with ``indexing.split_index``: the amplitude at
-    global index i lands at Psi[row, col] = Psi[split_index(shape, mask, i)].
-    """
-    _check_pair(psi, mask)
-    return _bipartite_stack(psi.amps[np.newaxis], mask)[0]
 
 
 def _rho_purities(rho: np.ndarray, mask: int) -> np.ndarray:
@@ -216,27 +196,6 @@ def reduced_density(psi: PureState, mask: SubsystemMask) -> DensityMatrix:
     return DensityMatrix((gram + gram.conj().T) / 2.0)
 
 
-def reduced_density_bruteforce(psi: PureState, mask: SubsystemMask) -> DensityMatrix:
-    """Reference partial trace: explicit sums over complement digits using
-    integer index arithmetic only.
-
-    Deliberately slow and independent of the reshape-based fast path; used
-    as the oracle it is checked against.
-    """
-    _check_pair(psi, mask)
-    if psi.dim > BRUTEFORCE_DIM_CAP:
-        raise DimensionCap(f"brute-force path is capped at dimension {BRUTEFORCE_DIM_CAP}")
-    d_a = mask.dim
-    d_b = psi.dim // d_a
-    rho = np.zeros((d_a, d_a), dtype=np.complex128)
-    for c in range(d_b):
-        column = [psi.amps[merge_index(psi.shape, mask, r, c)] for r in range(d_a)]
-        for r1 in range(d_a):
-            for r2 in range(d_a):
-                rho[r1, r2] += column[r1] * np.conj(column[r2])
-    return DensityMatrix(rho)
-
-
 def purity(psi: PureState | np.ndarray, mask: SubsystemMask) -> float | np.ndarray:
     """tr(rho_A**2) through the Gram matrix on the side ``_side`` picks.
 
@@ -260,11 +219,3 @@ def purity(psi: PureState | np.ndarray, mask: SubsystemMask) -> float | np.ndarr
     purities = _rho_purities(rho, mask.mask)
     return float(purities[0]) if one else purities
 
-
-def purity_from_density(rho: DensityMatrix) -> float:
-    """tr(rho**2) as the explicit sum: squared diagonal entries plus twice
-    the squared magnitudes above the diagonal."""
-    m = rho.entries
-    diag = np.real(np.diagonal(m))
-    upper = m[np.triu_indices(m.shape[0], k=1)]
-    return float(np.sum(diag * diag) + 2.0 * np.sum((upper * upper.conj()).real))

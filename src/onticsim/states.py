@@ -18,7 +18,6 @@ from .bitstate import OnticVector, popcount
 from .errors import (
     ConfigError,
     DegenerateState,
-    DimensionCap,
     LengthMismatch,
     NotHermitian,
     NumericViolation,
@@ -32,10 +31,8 @@ __all__ = [
     "project_standard",
     "state_from_ontic",
     "state_from_natural",
-    "density_full",
 ]
 
-DENSITY_FULL_CAP = 256  # largest dimension density_full builds a matrix for
 NORM_TOLERANCE = 1e-12  # largest |norm - 1| a state may have
 
 
@@ -171,9 +168,3 @@ def state_from_natural(vector, shape: FactorizationShape) -> PureState:
         raise DegenerateState("vector proportional to the all-ones direction")
     return PureState(projected / norm, shape)
 
-
-def density_full(psi: PureState) -> DensityMatrix:
-    """Rank-one density matrix psi psi† (guarded: quadratic in dimension)."""
-    if psi.dim > DENSITY_FULL_CAP:
-        raise DimensionCap(f"refusing {psi.dim}x{psi.dim} matrix (cap {DENSITY_FULL_CAP})")
-    return DensityMatrix(np.outer(psi.amps, psi.amps.conj()))

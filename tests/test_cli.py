@@ -1,7 +1,10 @@
 """Tests for the command line interface."""
 
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -480,6 +483,72 @@ def test_size_no_array_can_index_exits_2(argv, what, capsys):
     assert err == (
         f"error: {what} of more than {POINT_CAP} points: no array can index that many\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--shape", "2x2"],
+        ["evolve", "--shape", "2x2", "--generator", "(0 1)", "--mask", "1", "--t-max", "1"],
+        ["cycles", "--n", "5", "--samples", "10"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_out_exits_2(argv, target, tmp_path, capsys):
+    path = tmp_path / "missing" / "x.csv" if target == "missing-directory" else tmp_path
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
+def test_unwritable_plot_data_exits_2_after_the_csv(tmp_path, capsys):
+    csv = tmp_path / "x.csv"
+    plot = tmp_path / "missing" / "plot.txt"
+    code, _, err = run_cli(
+        capsys, "sweep", "--shape", "2x2", "--out", str(csv), "--plot-data", str(plot)
+    )
+    assert code == 2
+    assert err.startswith("error: ") and str(plot) in err
+    # outputs are opened once the run is done, so the CSV is already written
+    assert csv.read_text().startswith("# tool=")
+
+
+@pytest.mark.parametrize(
+    "shape, states, reads",
+    [
+        # about 1 MB of CSV, far more than a pipe buffers, so the writer is
+        # still writing when the reader goes away after one line
+        ("2^10", "20", 1),
+        # a table small enough to sit in stdout's buffer until the flush at
+        # the end of the run, with the reader gone before the run starts
+        ("2x2", "1", 0),
+    ],
+    ids=["closed-while-writing", "closed-before-the-run"],
+)
+def test_closed_stdout_exits_1_without_traceback(shape, states, reads):
+    src = Path(onticsim.cli.__file__).resolve().parents[1]
+    read_end, write_end = os.pipe()
+    reader = os.fdopen(read_end, "rb")
+    if not reads:
+        reader.close()
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from onticsim.cli import main; sys.exit(main())",
+         "sweep", "--shape", shape, "--states", states],
+        stdout=write_end,
+        stderr=subprocess.PIPE,
+        env={"PYTHONPATH": str(src), "PATH": ""},
+    )
+    os.close(write_end)
+    if reads:
+        assert reader.readline().startswith(b"# tool=")
+        reader.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""  # no traceback, no "Exception ignored" at exit
 
 
 def readme_commands():

@@ -11,7 +11,7 @@ import pytest
 
 import onticsim.experiment
 import onticsim.reduction
-from oracle import exact_purity, oracle_purities
+from oracle import apply_permutation, exact_purity, oracle_purities
 from onticsim.bitstate import OnticVector, popcount, random_ontic
 from onticsim.cli import _write_output, main
 from onticsim.entropy import collision_entropy
@@ -35,7 +35,6 @@ from onticsim.experiment import (
 from onticsim.indexing import FactorizationShape, SubsystemMask
 from onticsim.permrep import (
     Permutation,
-    apply_permutation,
     energy_basis,
     evolve_ontic,
     random_permutation,
@@ -567,6 +566,67 @@ class TestLattice:
         assert peak < 4 << 20
 
 
+def factorized_run(text, basis):
+    """A 5-state sweep of every proper subsystem under the shape ``text``,
+    and its amplitude stack; the states and the generator depend only on
+    the total dimension, so every factorization of it sees the same stack."""
+    shape = FactorizationShape.parse(text)
+    generator = random_permutation(shape.total, seed=3) if basis == "energy" else None
+    config = SweepConfig(shape=shape, num_states=5, seed=3, generator=generator)
+    return run_sweep(config), sweep_stack(config)
+
+
+class TestFactorizationIdentities:
+    """One amplitude stack under two factorizations of its dimension.  A
+    coarse position is the run of fine positions it covers (indices are
+    big-endian mixed radix), and relabelling the positions moves the mask
+    bits with them.  The lattice reaches the two sides by other roots and
+    traces, so they agree to rounding, not to the last bit."""
+
+    @pytest.mark.parametrize("basis", ["ontic", "energy"])
+    @pytest.mark.parametrize(
+        "coarse, fine, groups",
+        [
+            ("4^6", "2^12", [[2 * p, 2 * p + 1] for p in range(6)]),
+            ("4x5", "2x2x5", [[0, 1], [2]]),
+        ],
+        ids=["4^6-2^12", "4x5-2x2x5"],
+    )
+    def test_coarse_mask_equals_its_lift(self, coarse, fine, groups, basis):
+        coarse_run, coarse_stack = factorized_run(coarse, basis)
+        fine_run, fine_stack = factorized_run(fine, basis)
+        assert np.array_equal(coarse_stack, fine_stack)
+        column = {m: j for j, m in enumerate(fine_run.masks.tolist())}
+        for j, mask in enumerate(coarse_run.masks.tolist()):
+            lifted = sum(1 << f for p, run in enumerate(groups) if mask >> p & 1 for f in run)
+            gap = np.abs(coarse_run.purity[:, j] - fine_run.purity[:, column[lifted]]).max()
+            assert gap < 1e-13, mask
+
+    @pytest.mark.parametrize("basis", ["ontic", "energy"])
+    @pytest.mark.parametrize(
+        "text, sigma",
+        [
+            ("4^6", [3, 0, 5, 1, 4, 2]),
+            ("2^12", [5, 11, 0, 7, 2, 9, 1, 10, 3, 6, 8, 4]),
+            ("4x5", [1, 0]),
+            ("2x2x5", [2, 0, 1]),
+        ],
+        ids=["4^6", "2^12", "4x5", "2x2x5"],
+    )
+    def test_relabelled_positions_keep_purities(self, text, sigma, basis):
+        # new position i is old position sigma[i]
+        result, stack = factorized_run(text, basis)
+        shape = FactorizationShape.parse(text)
+        moved = FactorizationShape(tuple(shape.dims[p] for p in sigma))
+        tensor = stack.reshape((len(stack),) + shape.dims)
+        moved_stack = tensor.transpose([0] + [1 + p for p in sigma]).reshape(len(stack), -1)
+        masks = [
+            sum(1 << i for i, p in enumerate(sigma) if m >> p & 1) for m in result.masks.tolist()
+        ]
+        purities, _ = sweep_purities(moved_stack, moved, masks)
+        assert np.abs(purities - result.purity).max() < 1e-13
+
+
 class TestSummaries:
     def test_symmetric_sizes_agree(self):
         shape = FactorizationShape((2,) * 6)
@@ -877,7 +937,8 @@ class TestTimeSeries:
         mask = SubsystemMask.from_positions(shape, positions)
         q = random_ontic(n, seed=34)
         psi0 = state_from_ontic(q, shape)
-        expected = [purity(apply_permutation(g, psi0, t), mask) for t in ts]
+        expected = [purity(PureState(apply_permutation(g.images, psi0.amps, t), shape), mask)
+                    for t in ts]
         expected = list(zip(ts, collision_entropy(np.array(expected)).tolist()))
         # 3 rows a block, so no list here fills its last block
         monkeypatch.setattr(onticsim.experiment, "BATCH_POINTS", 3 * n + 1)

@@ -1,11 +1,13 @@
-"""Every public export of the package resolves to a real attribute, and the
-package version agrees with the project metadata."""
+"""Every public export of the package resolves to a real attribute, the
+package version agrees with the project metadata, and the test oracle
+imports nothing from the package."""
 
 import ast
 import importlib
 import pathlib
 import pkgutil
 import re
+import sys
 
 import pytest
 
@@ -47,3 +49,19 @@ def test_version_matches_pyproject():
     declared = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
     assert declared is not None
     assert declared.group(1) == onticsim.__version__
+
+
+def test_oracle_imports_nothing_from_onticsim():
+    # the test references stay independent of the code they check: the
+    # standard library and numpy only, at any depth of the module
+    tree = ast.parse((pathlib.Path(__file__).parent / "oracle.py").read_text())
+    imported = [
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names
+    ] + [
+        "." * node.level + (node.module or "")
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+    ]
+    assert imported
+    roots = {name.split(".")[0] for name in imported}
+    assert roots <= set(sys.stdlib_module_names) | {"numpy"}, roots

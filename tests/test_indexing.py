@@ -1,4 +1,5 @@
-"""Tests for shapes, the mixed-radix codec, and the bipartition indexing."""
+"""Tests for shapes, the mixed-radix codec, and the bipartition indexing
+of the test oracle."""
 
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import arrange
 
 from onticsim.errors import ConfigError, IndexOutOfRange
 from onticsim.indexing import (
@@ -15,10 +17,8 @@ from onticsim.indexing import (
     SubsystemMask,
     decode,
     encode,
-    merge_index,
     natural_state_lower_bound,
     orthant_sphere_area,
-    split_index,
 )
 
 
@@ -160,45 +160,34 @@ class TestSubsystemMask:
 
 
 class TestSplitIndex:
+    """The oracle's (subsystem x complement) arrangement, which the kernel's
+    bipartite reshape is checked against."""
+
     def test_first_factor(self):
-        shape = FactorizationShape((2, 2))
-        mask = SubsystemMask.from_positions(shape, [0])
-        assert split_index(shape, mask, 2) == (1, 0)
+        assert arrange(range(4), (2, 2), [0]) == [[0, 1], [2, 3]]
 
     def test_second_factor_swaps_roles(self):
-        shape = FactorizationShape((2, 2))
-        mask = SubsystemMask.from_positions(shape, [1])
-        assert split_index(shape, mask, 2) == (0, 1)
+        assert arrange(range(4), (2, 2), [1]) == [[0, 2], [1, 3]]
 
     def test_bijection(self):
-        shape = FactorizationShape((2, 3, 2))
-        mask = SubsystemMask.from_positions(shape, [0, 2])
-        seen = {split_index(shape, mask, i) for i in range(12)}
-        assert seen == {(r, c) for r in range(4) for c in range(3)}
+        rows = arrange(range(12), (2, 3, 2), [0, 2])
+        assert [len(r) for r in rows] == [3] * 4
+        assert sorted(i for r in rows for i in r) == list(range(12))
 
     def test_complement_swaps_row_col(self):
-        shape = FactorizationShape((2, 3, 2, 2))
-        mask = SubsystemMask.from_positions(shape, [1, 3])
-        comp = mask.complement()
-        for i in range(shape.total):
-            row, col = split_index(shape, mask, i)
-            assert split_index(shape, comp, i) == (col, row)
+        dims = (2, 3, 2, 2)
+        rows = arrange(range(24), dims, [1, 3])
+        assert arrange(range(24), dims, [0, 2]) == [list(c) for c in zip(*rows)]
 
-    def test_merge_inverts_split(self):
+    def test_digits_agree_with_decode(self):
+        # an entry's row is its subsystem digits, as decode reads them
         shape = FactorizationShape((2, 3, 2))
         for bits in range(1, 7):
-            mask = SubsystemMask(bits, shape)
-            for i in range(shape.total):
-                row, col = split_index(shape, mask, i)
-                assert merge_index(shape, mask, row, col) == i
-
-    def test_merge_range_checks(self):
-        shape = FactorizationShape((2, 3))
-        mask = SubsystemMask.from_positions(shape, [0])
-        with pytest.raises(IndexOutOfRange):
-            merge_index(shape, mask, 2, 0)
-        with pytest.raises(IndexOutOfRange):
-            merge_index(shape, mask, 0, 3)
+            inside = [p for p in range(3) if bits >> p & 1]
+            sub = FactorizationShape(tuple(shape.dims[p] for p in inside))
+            for row, entries in enumerate(arrange(range(12), shape.dims, inside)):
+                for i in entries:
+                    assert row == encode(sub, [decode(shape, i)[p] for p in inside])
 
 
 class TestStateCountBound:

@@ -5,42 +5,31 @@ import random
 
 import numpy as np
 import pytest
+from oracle import (
+    apply_permutation,
+    energy_matrix,
+    fourier_block,
+    permutation_matrix,
+    squaring_images,
+)
 
 import onticsim.permrep
 from onticsim.bitstate import OnticVector, popcount, random_ontic
-from onticsim.errors import ConfigError, DimensionCap, InvalidCycle, SizeMismatch
+from onticsim.errors import ConfigError, InvalidCycle, SizeMismatch
 from onticsim.experiment import run_cycle_census
 from onticsim.indexing import FactorizationShape
 from onticsim.permrep import (
     EnergyBasis,
     Permutation,
-    apply_permutation,
     energy_basis,
     evolve_ontic,
-    fourier_block,
-    permutation_matrix,
     random_permutation,
 )
-from onticsim.states import PureState, density_full, state_from_ontic
+from onticsim.states import PureState, state_from_ontic
 
 
 def flat_shape(n):
     return FactorizationShape((n,))
-
-
-def squaring_images(images, t):
-    """Images of g**t by repeated squaring of the image array; a negative
-    t squares the inverse.  Shares no code with the cycle layout."""
-    base = np.asarray(images)
-    if t < 0:
-        base, t = np.argsort(base), -t
-    result = np.arange(base.size)
-    while t:
-        if t & 1:
-            result = base[result]
-        base = base[base]
-        t >>= 1
-    return result
 
 
 def layout_by_walk(images):
@@ -134,7 +123,7 @@ class TestConstruction:
         rng = np.random.default_rng(1)
         for n in (2, 5, 17, 64):
             g = random_permutation(n, seed=int(rng.integers(1 << 30)))
-            mat = permutation_matrix(g)
+            mat = permutation_matrix(g.images)
             expected = np.zeros((n, n))
             for i in range(n):
                 expected[i, g.images[i]] = 1.0
@@ -240,8 +229,8 @@ class TestCycleLayout:
         basis = energy_basis(g)
         psi = state_from_ontic(random_ontic(40, seed=4), flat_shape(40))
         basis.inverse_transform(basis.transform(psi))
-        basis.eigenvalues(), basis.eigenphase_exponents, basis.matrix()
-        apply_permutation(g, psi, 3)
+        basis.eigenvalues(), basis.eigenphase_exponents
+        evolve_ontic(g, random_ontic(40, seed=5), 3)
         g.labels, g.layout
         assert len(calls) == 1
 
@@ -278,16 +267,15 @@ class TestPowerOracle:
         for t in (2**70 + 3, -(2**70 + 3), g.order - 1, 2**63, -(2**63) - 1):
             assert np.array_equal(g.power_images(t), squaring_images(g.images, t)), t
 
-    def test_apply_permutation(self):
+    def test_evolve_ontic(self):
         rng = random.Random(22)
         for g in oracle_cases():
             if g.n == 1:
-                continue  # one point has no nontrivial subset to build a state from
-            psi = state_from_ontic(random_ontic(g.n, rng=rng), flat_shape(g.n))
+                continue  # one point has no nontrivial subset
+            q = random_ontic(g.n, rng=rng)
             for t in oracle_times(g):
-                expected = np.empty_like(psi.amps)
-                expected[squaring_images(g.images, t)] = psi.amps
-                assert np.array_equal(apply_permutation(g, psi, t).amps, expected), (g.n, t)
+                expected = apply_permutation(g.images, q.to_array(), t)
+                assert np.array_equal(evolve_ontic(g, q, t).to_array(), expected), (g.n, t)
 
     def test_transform_matches_concatenated_cycles(self):
         # the block layout the basis had when it stored its own copy of the
@@ -323,13 +311,13 @@ class TestPowerOracle:
             assert np.array_equal(energy_basis(g).inverse_transform(psi).amps, expected)
 
     def test_matrix_matches_concatenated_cycles(self):
+        # the oracle's energy matrix, built by its own cycle walk, against
+        # the package's canonical cycles
         for g in oracle_cases():
-            if g.n > onticsim.permrep.MATRIX_DIM_CAP:
-                continue
-            # block by block against the reference, then zero elsewhere: one
-            # dense matrix in memory at n = 4096, not two
+            if g.n > 512:
+                continue  # a dense 4096 x 4096 complex matrix takes 256 MiB
             order = np.concatenate([np.asarray(c, dtype=np.int64) for c in g.cycles])
-            mat = energy_basis(g).matrix()
+            mat = energy_matrix(g.images)
             start = 0
             for length in (len(c) for c in g.cycles):
                 block = slice(start, start + length)
@@ -337,20 +325,6 @@ class TestPowerOracle:
                 mat[block, order[block]] = 0
                 start += length
             assert not mat.any()
-
-
-class TestDimensionCap:
-    def test_permutation_matrix(self, monkeypatch):
-        monkeypatch.setattr(onticsim.permrep, "MATRIX_DIM_CAP", 4)
-        assert permutation_matrix(random_permutation(4, seed=1)).shape == (4, 4)
-        with pytest.raises(DimensionCap):
-            permutation_matrix(random_permutation(5, seed=1))
-
-    def test_energy_basis_matrix(self, monkeypatch):
-        monkeypatch.setattr(onticsim.permrep, "MATRIX_DIM_CAP", 4)
-        assert energy_basis(random_permutation(4, seed=2)).matrix().shape == (4, 4)
-        with pytest.raises(DimensionCap):
-            energy_basis(random_permutation(5, seed=2)).matrix()
 
 
 class TestRandomPermutation:
@@ -382,43 +356,35 @@ class TestRandomPermutation:
 
 
 class TestApplyPermutation:
+    """The oracle's state evolution, the reference for ``evolve``."""
+
     def test_time_zero_is_identity(self):
-        shape = flat_shape(8)
-        psi = state_from_ontic(random_ontic(8, seed=2), shape)
-        assert apply_permutation(random_permutation(8, seed=3), psi, 0) is psi
+        psi = state_from_ontic(random_ontic(8, seed=2), flat_shape(8))
+        g = random_permutation(8, seed=3)
+        assert np.array_equal(apply_permutation(g.images, psi.amps, 0), psi.amps)
 
     def test_full_period_is_identity(self):
-        shape = flat_shape(10)
-        psi = state_from_ontic(random_ontic(10, seed=4), shape)
+        psi = state_from_ontic(random_ontic(10, seed=4), flat_shape(10))
         g = random_permutation(10, seed=5)
-        again = apply_permutation(g, psi, g.order)
-        np.testing.assert_allclose(again.amps, psi.amps, atol=0)
+        assert np.array_equal(apply_permutation(g.images, psi.amps, g.order), psi.amps)
 
     def test_hand_swap(self):
-        shape = flat_shape(2)
-        psi = state_from_ontic(OnticVector.from_bitstring("10"), shape)
+        psi = state_from_ontic(OnticVector.from_bitstring("10"), flat_shape(2))
         g = Permutation.from_cycles(2, [[0, 1]])
-        out = apply_permutation(g, psi, 1)
-        np.testing.assert_allclose(out.amps, [-(2**-0.5), 2**-0.5], atol=1e-15)
+        out = apply_permutation(g.images, psi.amps, 1)
+        np.testing.assert_allclose(out, [-(2**-0.5), 2**-0.5], atol=1e-15)
 
     def test_negative_time_inverts(self):
-        shape = flat_shape(12)
-        psi = state_from_ontic(random_ontic(12, seed=6), shape)
+        psi = state_from_ontic(random_ontic(12, seed=6), flat_shape(12))
         g = random_permutation(12, seed=7)
-        round_trip = apply_permutation(g, apply_permutation(g, psi, 5), -5)
-        np.testing.assert_allclose(round_trip.amps, psi.amps, atol=0)
+        round_trip = apply_permutation(g.images, apply_permutation(g.images, psi.amps, 5), -5)
+        assert np.array_equal(round_trip, psi.amps)
 
     def test_preserves_standard_subspace(self):
-        shape = flat_shape(32)
-        psi = state_from_ontic(random_ontic(32, seed=8), shape)
+        psi = state_from_ontic(random_ontic(32, seed=8), flat_shape(32))
         g = random_permutation(32, seed=9)
         for t in (1, 7, 100):
-            assert abs(apply_permutation(g, psi, t).coordinate_sum()) < 1e-10
-
-    def test_size_mismatch(self):
-        psi = state_from_ontic(random_ontic(8, seed=1), flat_shape(8))
-        with pytest.raises(SizeMismatch):
-            apply_permutation(random_permutation(9, seed=1), psi, 1)
+            assert abs(apply_permutation(g.images, psi.amps, t).sum()) < 1e-10
 
 
 class TestEvolveOntic:
@@ -444,8 +410,12 @@ class TestEvolveOntic:
             for t in (0, 1, 3, -2):
                 q = random_ontic(n, rng=rng)
                 lhs = state_from_ontic(evolve_ontic(g, q, t), shape)
-                rhs = apply_permutation(g, state_from_ontic(q, shape), t)
-                np.testing.assert_allclose(lhs.amps, rhs.amps, atol=1e-15)
+                rhs = apply_permutation(g.images, state_from_ontic(q, shape).amps, t)
+                np.testing.assert_allclose(lhs.amps, rhs, atol=1e-15)
+
+    def test_size_mismatch(self):
+        with pytest.raises(SizeMismatch):
+            evolve_ontic(random_permutation(9, seed=1), random_ontic(8, seed=1), 1)
 
 
 class TestFourierBlock:
@@ -477,31 +447,32 @@ class TestFourierBlock:
 
 class TestEnergyBasis:
     def test_identity_generator(self):
-        basis = energy_basis(Permutation.identity(3))
-        np.testing.assert_allclose(basis.matrix(), np.eye(3), atol=0)
+        g = Permutation.identity(3)
+        basis = energy_basis(g)
+        np.testing.assert_allclose(energy_matrix(g.images), np.eye(3), atol=0)
         np.testing.assert_allclose(basis.eigenvalues(), np.ones(3), atol=0)
 
     def test_single_cycle_is_full_fourier(self):
         g = Permutation.from_cycles(6, [[0, 1, 2, 3, 4, 5]])
         basis = energy_basis(g)
-        np.testing.assert_allclose(basis.matrix(), fourier_block(6), atol=1e-15)
+        np.testing.assert_allclose(energy_matrix(g.images), fourier_block(6), atol=1e-15)
 
     def test_eigenphases_example(self):
         g = Permutation.from_cycles(5, [[0, 1, 2], [3, 4]])
         basis = energy_basis(g)
         assert basis.eigenphase_exponents == ((3, 0), (3, 1), (3, 2), (2, 0), (2, 1))
         # numerical diagonalization oracle
-        f = basis.matrix()
-        diag = f @ permutation_matrix(g) @ np.linalg.inv(f)
+        f = energy_matrix(g.images)
+        diag = f @ permutation_matrix(g.images) @ np.linalg.inv(f)
         np.testing.assert_allclose(np.diag(diag), basis.eigenvalues(), atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_diagonalization_random(self, seed):
         g = random_permutation(24, seed=seed)
         basis = energy_basis(g)
-        f = basis.matrix()
+        f = energy_matrix(g.images)
         np.testing.assert_allclose(f @ f.conj().T, np.eye(24), atol=1e-12)
-        diag = f @ permutation_matrix(g) @ f.conj().T
+        diag = f @ permutation_matrix(g.images) @ f.conj().T
         off = diag - np.diag(np.diag(diag))
         assert np.abs(off).max() < 1e-10
         np.testing.assert_allclose(np.diag(diag), basis.eigenvalues(), atol=1e-10)
@@ -512,7 +483,7 @@ class TestEnergyBasis:
         basis = energy_basis(g)
         psi = state_from_ontic(random_ontic(12, seed=14), shape)
         out = basis.transform(psi)
-        np.testing.assert_allclose(out.amps, basis.matrix() @ psi.amps, atol=1e-13)
+        np.testing.assert_allclose(out.amps, energy_matrix(g.images) @ psi.amps, atol=1e-13)
 
     def test_transform_preserves_norm(self):
         shape = flat_shape(32)
@@ -561,10 +532,11 @@ class TestEnergyBasis:
         g = random_permutation(16, seed=16)
         basis = energy_basis(g)
         psi = state_from_ontic(random_ontic(16, seed=17), shape)
-        rho_o = density_full(psi).entries
-        f = basis.matrix()
+        rho_o = np.outer(psi.amps, psi.amps.conj())
+        f = energy_matrix(g.images)
         expected = f @ rho_o @ f.conj().T
-        actual = density_full(basis.transform(psi)).entries
+        out = basis.transform(psi).amps
+        actual = np.outer(out, out.conj())
         np.testing.assert_allclose(actual, expected, atol=1e-12)
 
     def test_transform_size_mismatch(self):

