@@ -217,12 +217,13 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     vectors = config.ontic_vectors or [
         random_ontic(config.shape.total, rng=rng, weight=weight) for _ in range(config.num_states)
     ]
-    states = [state_from_ontic(q, config.shape) for q in vectors]
+    states = (state_from_ontic(q, config.shape) for q in vectors)
     if config.generator is not None:
         basis = energy_basis(config.generator)
-        states = [basis.transform(psi) for psi in states]
+        states = (basis.transform(psi) for psi in states)
     masks = _enumerate_masks(config, rng)
-    # float64 in the ontic basis, complex128 in the energy basis
+    # float64 in the ontic basis, complex128 in the energy basis; the states
+    # are built one at a time and only their stack outlives this line
     stack = np.stack([psi.amps for psi in states])
     purities, source = sweep_purities(stack, config.shape, masks)
     return SweepResult(
@@ -302,7 +303,8 @@ def run_time_series(
     are built ``BATCH_POINTS`` points at a time, each one gather of the
     state at the time listed before it (one index array per distinct
     step), and each block is norm-checked and reduced by one ``purity``
-    call.
+    call.  Each index array is checked to be a bijection after the norm
+    check of the block it is first used in.
     """
     if g.n != shape.total:
         raise SizeMismatch(f"generator size {g.n} != shape total {shape.total}")
@@ -325,10 +327,12 @@ def run_time_series(
     for start in range(0, len(ts), rows):
         times = ts[start : start + rows]
         block = np.empty((len(times), shape.total), prev.dtype)
+        fresh = []
         for row, t in zip(block, times):
             step = (t - t_prev) % g.order
             if step not in gathers:
                 gathers[step] = g.power_images(-step)
+                fresh.append(step)
             prev.take(gathers[step], out=row)
             prev, t_prev = row, t
         # |z|**2 summed as the squares of the real and imaginary parts, and
@@ -339,6 +343,15 @@ def run_time_series(
             if not abs(norm - 1.0) <= NORM_TOLERANCE:
                 raise NumericViolation(
                     f"state norm {norm!r} at t={t} is not 1 within {NORM_TOLERANCE}"
+                )
+        # a gather that reads a point twice keeps every norm when all
+        # amplitudes share one magnitude (w = N/2), so each new index array
+        # is also counted: a bijection reads each of the N points once
+        for step in fresh:
+            images = gathers[step]
+            if images.min() < 0 or np.bincount(images, minlength=shape.total).max() != 1:
+                raise NumericViolation(
+                    f"the index array of step {step} is not a bijection of the {shape.total} points"
                 )
         purities.append(purity(block, mask))
     s2 = collision_entropy(np.concatenate(purities))

@@ -13,17 +13,24 @@ of a complement pair to reduce, ``_gram_stack`` forms that side's reduced
 matrices by one transpose of the stack and one Gram product per state,
 and ``_rho_purities`` reduces them to range-checked purities.  ``purity``
 (one mask of one PureState or of a stack of states; ``evolve`` passes
-it one stack per block of time steps) and the roots of
-``sweep_purities`` go through all three, so they agree to the last bit.
+it one stack per block of time steps) goes through all three, and so do
+the roots of ``sweep_purities`` that no hub serves, so those agree with
+``purity`` to the last bit.
 
 ``sweep_purities`` holds each complement pair of a sweep once and orders
 those subsystems in a tree: the parent of a subsystem adds its lowest
 absent position.  A subsystem whose parent is not in the sweep is a
 root; every other one is its parent's reduced matrix with one position
-traced out.
+traced out.  ``_plan`` covers the roots greedily with hubs, subsystems
+outside the sweep one position larger, each formed by one Gram product
+for several roots that are then one partial trace of it; a hub is kept
+only if its Gram product costs no more flops than the roots' own.
 """
 
 from __future__ import annotations
+
+import heapq
+from collections.abc import Callable
 
 import numpy as np
 
@@ -114,37 +121,24 @@ def _dim_table(dims: tuple[int, ...]) -> list[int]:
     return table
 
 
-def sweep_purities(
-    stack: np.ndarray, shape: FactorizationShape, masks: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (S, M) purities of the proper masks ``masks`` (distinct ints)
-    for an (S, N) amplitude stack, and the (M,) column ``source`` that
-    each purity was computed in.
-
-    A pure state gives a subsystem and its complement the same purity, so
-    each complement pair is computed once, on its node, the side ``_side``
-    picks.  ``source[j]`` is the column of the node of mask j's pair when
-    the node is among the masks, and j itself otherwise.  The first mask
-    whose node has a dimension over ``GRAM_DIM_CAP`` raises ConfigError
-    before any Gram product is formed.
-
-    The parent of a node m is m | (m + 1), m plus its lowest absent
-    position.  A node whose parent is a node of this sweep is that
-    parent's reduced matrix with the position traced out; every other
-    node is a root, reduced by one transpose of the stack and one Gram
-    product per state.  The walk is depth first, so one chain of reduced
-    matrices from a root is alive at a time.  Every node's purities must
-    lie in [1/d_node, 1], else NumericViolation names the node.
-    """
-    # dimensions by lookup in two tables of 2**(K/2) entries each; one
-    # table of 2**K would hold a million ints at K = 20
+def _dim_lookup(shape: FactorizationShape) -> Callable[[int], int]:
+    """The dimension of a mask, by lookup in two tables of 2**(K/2)
+    entries each; one table of 2**K would hold a million ints at K = 20."""
     half = shape.k // 2
     low_dims = _dim_table(shape.dims[:half])
     high_dims = _dim_table(shape.dims[half:])
+    return lambda m: low_dims[m & ((1 << half) - 1)] * high_dims[m >> half]
 
-    def dim_of(m: int) -> int:
-        return low_dims[m & ((1 << half) - 1)] * high_dims[m >> half]
 
+def _plan(
+    shape: FactorizationShape, masks: list[int]
+) -> tuple[dict[int, int], np.ndarray, dict[int, int | None]]:
+    """The walk of ``sweep_purities`` from the shape and the masks alone:
+    each node's column, the ``source`` array, and each node's parent, the
+    subsystem its reduced matrix is traced out of (None for a node formed
+    by its own Gram product).  A parent that is no node is a hub, one
+    position larger than each root it serves."""
+    dim_of = _dim_lookup(shape)
     # node -> the column its purities go to: its own when enumerated,
     # else its complement's
     column: dict[int, int] = {}
@@ -163,26 +157,95 @@ def sweep_purities(
             else:
                 source[j] = other
 
+    parent: dict[int, int | None] = {m: m | (m + 1) for m in column}
+    roots = [m for m, p in parent.items() if p not in column]
+    # every subsystem outside the sweep one position larger than a root,
+    # and the roots it holds
+    holds: dict[int, list[int]] = {}
+    full = (1 << shape.k) - 1
+    for root in roots:
+        parent[root] = None
+        absent = full ^ root
+        while absent:
+            hub = root | (absent & -absent)
+            absent &= absent - 1
+            if hub not in column:
+                holds.setdefault(hub, []).append(root)
+    # greedy cover: the hub holding the most unserved roots first, the
+    # smaller mask on a tie; a key goes stale as its roots are served, and
+    # is pushed back with its new count
+    heap = [(-len(held), hub) for hub, held in holds.items()]
+    heapq.heapify(heap)
+    while heap:
+        count, hub = heapq.heappop(heap)
+        free = [root for root in holds[hub] if parent[root] is None]
+        if len(free) < -count:
+            heapq.heappush(heap, (-len(free), hub))
+        # a hub's Gram product costs no more flops than the roots' own,
+        # and stays within the cap
+        elif dim_of(hub) <= min(GRAM_DIM_CAP, sum(dim_of(root) for root in free)):
+            for root in free:
+                parent[root] = hub
+    return column, source, parent
+
+
+def sweep_purities(
+    stack: np.ndarray, shape: FactorizationShape, masks: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (S, M) purities of the proper masks ``masks`` (distinct ints)
+    for an (S, N) amplitude stack, and the (M,) column ``source`` that
+    each purity was computed in.
+
+    A pure state gives a subsystem and its complement the same purity, so
+    each complement pair is computed once, on its node, the side ``_side``
+    picks.  ``source[j]`` is the column of the node of mask j's pair when
+    the node is among the masks, and j itself otherwise.  The first mask
+    whose node has a dimension over ``GRAM_DIM_CAP`` raises ConfigError
+    before any Gram product is formed.
+
+    Every node but the roots is its parent's reduced matrix with one
+    position traced out.  The parent of a node m is m | (m + 1), m plus
+    its lowest absent position, when that is a node of this sweep; the
+    other nodes are roots.  A root is served by a hub when ``_plan``
+    finds one: a subsystem outside the sweep, one position larger, whose
+    reduced matrix is formed once, by one transpose of the stack and one
+    Gram product per state, for several roots, and never written out.  A
+    root with no hub is formed by a Gram product of its own.  The walk is
+    depth first, so one chain of reduced matrices from a Gram product is
+    alive at a time.  Every node's purities must lie in [1/d_node, 1],
+    else NumericViolation names the node; a corrupted hub shows in the
+    first root it serves.
+    """
+    column, source, parent = _plan(shape, masks)
+    children: dict[int | None, list[int]] = {}
+    for node, up in parent.items():
+        children.setdefault(up, []).append(node)
+    # the Gram products: each hub, then each root no hub serves
+    own = children.pop(None, [])
+    grams = [up for up in children if up not in column] + own
+    dim_of = _dim_lookup(shape)
     s = stack.shape[0]
     out = np.empty((s, len(masks)))
 
-    def visit(node: int, rho: np.ndarray) -> None:
-        dim = rho.shape[1]
-        out[:, column[node]] = _rho_purities(rho, node)
-        # a child drops one position pos of the node's lowest run
-        # 0..run-1, which makes pos the child's lowest absent position
-        run = (~node & (node + 1)).bit_length() - 1
-        for pos in range(run):
-            child = node ^ (1 << pos)
-            if child in column:
-                b, d = dim_of((1 << pos) - 1), shape.dims[pos]
-                a = dim // (b * d)
-                traced = np.einsum("sabcdbe->sacde", rho.reshape(s, b, d, a, b, d, a))
-                visit(child, traced.reshape(s, b * a, b * a))
+    def trace(rho: np.ndarray, node: int, pos: int) -> np.ndarray:
+        """The node's reduced matrices with position pos traced out: b is
+        the dimension of the node's positions before pos, a after it."""
+        b, d = dim_of(node & ((1 << pos) - 1)), shape.dims[pos]
+        a = rho.shape[1] // (b * d)
+        traced = np.einsum("sabcdbe->sacde", rho.reshape(s, b, d, a, b, d, a))
+        return traced.reshape(s, b * a, b * a)
 
-    for node in column:
-        if node | (node + 1) not in column:
-            visit(node, _gram_stack(stack, SubsystemMask(node, shape)))
+    def visit(node: int, rho: np.ndarray) -> None:
+        if node in column:
+            out[:, column[node]] = _rho_purities(rho, node)
+        for child in children.get(node, ()):
+            # passed on unnamed, so no sibling's matrix is alive while
+            # this child's subtree is walked
+            visit(child, trace(rho, node, (node ^ child).bit_length() - 1))
+
+    for top in grams:
+        # unnamed too: a hub's matrix is freed before the next Gram product
+        visit(top, _gram_stack(stack, SubsystemMask(top, shape)))
     return out[:, source], source
 
 

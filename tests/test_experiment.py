@@ -102,10 +102,43 @@ def node_of(mask, shape):
     )
 
 
+def dim_of(mask, shape):
+    return math.prod(d for p, d in enumerate(shape.dims) if mask >> p & 1)
+
+
+def lattice_roots(nodes):
+    """The nodes whose parent m | (m + 1) is no node."""
+    return [m for m in nodes if m | (m + 1) not in nodes]
+
+
+def brute_force_hubs(shape, nodes):
+    """Hub -> the set of roots it serves, by a search over every subsystem
+    at each step: of the masks outside the nodes whose dimension is within
+    the cap and at most the sum of their unserved roots' (those one
+    position smaller), the one holding the most roots, the smaller mask on
+    a tie, until none is left."""
+    unserved = set(lattice_roots(nodes))
+    cap = onticsim.reduction.GRAM_DIM_CAP
+    hubs = {}
+    while True:
+        best = None
+        for hub in range(1, 1 << shape.k):
+            if hub in nodes or dim_of(hub, shape) > cap:
+                continue
+            held = {r for r in unserved if r & hub == r and bin(hub ^ r).count("1") == 1}
+            if held and dim_of(hub, shape) <= sum(dim_of(r, shape) for r in held):
+                if best is None or len(held) > len(best[1]):
+                    best = (hub, held)
+        if best is None:
+            return hubs
+        hubs[best[0]] = best[1]
+        unserved -= best[1]
+
+
 def spy_lattice(monkeypatch):
-    """Record the sweep kernel's root Gram products as (stack shape, dtype,
-    mask) and the masks whose purities it reduces and range-checks, in
-    call order."""
+    """Record the sweep kernel's Gram products (of hubs and of roots no hub
+    serves) as (stack shape, dtype, mask) and the masks whose purities it
+    reduces and range-checks, in call order."""
     grams, checked = [], []
     gram_stack = onticsim.reduction._gram_stack
     rho_purities = onticsim.reduction._rho_purities
@@ -356,15 +389,17 @@ class TestRunSweep:
         generator = Permutation.from_cycles(8, [(0, 3, 5)]) if basis == "energy" else None
         run_sweep(SweepConfig(shape=shape, num_states=3, seed=4, generator=generator))
         dtype = np.float64 if basis == "ontic" else np.complex128
-        # three pairs, each a root: one Gram product of the whole stack and
-        # one range check of its purities
-        assert grams == [((3, 8), dtype, m) for m in (1, 2, 4)]
+        # three pairs, each a root: 1 and 2 are traced out of the hub 3,
+        # formed by one Gram product of the whole stack, and 4 by its own;
+        # one range check of each pair's purities
+        assert grams == [((3, 8), dtype, m) for m in (3, 4)]
         assert checked == [1, 2, 4]
 
     @pytest.mark.parametrize(
         "dims, sizes, nodes, roots",
         [
-            # 1, 2 and 4, 8 are traced out of 3, 5 and 9
+            # 1, 2 and 4, 8 are traced out of the roots 3, 5 and 9; 3 and 5
+            # out of the hub 7
             ((2,) * 4, None, [1, 2, 4, 8, 3, 5, 9], [3, 5, 9]),
             # no size-2 mask is a node, so every singleton is a root
             ((2,) * 3, (1,), [1, 2, 4], [1, 2, 4]),
@@ -383,7 +418,13 @@ class TestRunSweep:
         result = run_sweep(
             SweepConfig(shape=shape, num_states=2, seed=5, subset_sizes=sizes)
         )
-        assert [m for _, _, m in grams] == roots
+        assert lattice_roots(nodes) == roots
+        # a Gram product for each hub and each root no hub serves
+        hubs = brute_force_hubs(shape, set(nodes))
+        served = set().union(*hubs.values())
+        expected = set(hubs) | {r for r in roots if r not in served}
+        masks = [m for _, _, m in grams]
+        assert len(masks) == len(expected) and set(masks) == expected
         assert sorted(checked) == sorted(nodes)
         assert sorted(checked) == sorted({node_of(m, shape) for m in result.masks.tolist()})
         assert result.purity.shape == (2, result.masks.size)
@@ -395,10 +436,20 @@ class TestRunSweep:
         grams, checked = spy_lattice(monkeypatch)
         shape = FactorizationShape((2,) * k)
         run_sweep(SweepConfig(shape=shape, num_states=states, seed=2))
-        roots = [m for _, _, m in grams]
-        assert len(roots) == len(set(roots)) == count == math.comb(k - 1, k // 2 - 1)
-        assert all(m & 1 and bin(m).count("1") == k // 2 for m in roots)
         assert len(checked) == len(set(checked)) == (1 << k - 1) - 1
+        roots = lattice_roots(set(checked))
+        assert len(roots) == count == math.comb(k - 1, k // 2 - 1)
+        assert all(m & 1 and bin(m).count("1") == k // 2 for m in roots)
+        # the Gram products: 110 at k = 12 and 346 at k = 14, each a hub
+        # one position larger than the roots it serves, or a root no hub
+        # serves, which no hub holds
+        masks = [m for _, _, m in grams]
+        assert len(masks) == len(set(masks)) == {12: 110, 14: 346}[k]
+        own = [m for m in masks if m in roots]
+        hubs = [m for m in masks if m not in roots]
+        assert all(h & 1 and bin(h).count("1") == k // 2 + 1 for h in hubs)
+        held = {h ^ (1 << p) for h in hubs for p in range(1, k) if h >> p & 1}
+        assert held.isdisjoint(own) and held | set(own) == set(roots)
 
     def test_sampled_sweep_computes_each_drawn_pair_once(self, monkeypatch):
         grams, checked = spy_lattice(monkeypatch)
@@ -519,35 +570,137 @@ class TestLattice:
     @pytest.mark.parametrize(
         "text, basis", [("2^10", "ontic"), ("2x3x2x3x2x3", "ontic"), ("2^10", "energy")]
     )
-    def test_roots_equal_purity_bit_for_bit(self, text, basis):
-        # a root's matrix comes from the same Gram former and reducer as
-        # purity's, so the two agree to the last bit
+    def test_roots_equal_purity_bit_for_bit(self, monkeypatch, text, basis):
+        # a node formed by its own Gram product, a root no hub serves, comes
+        # from the same Gram former and reducer as purity's, so the two
+        # agree to the last bit
+        grams, _ = spy_lattice(monkeypatch)
         shape = FactorizationShape.parse(text)
         generator = random_permutation(shape.total, seed=23) if basis == "energy" else None
         config = SweepConfig(shape=shape, num_states=3, seed=23, generator=generator)
         result = run_sweep(config)
         stack = sweep_stack(config)
         nodes = {node_of(m, shape) for m in result.masks.tolist()}
-        roots = [m for m in nodes if m | (m + 1) not in nodes]
-        assert len(roots) > shape.k
+        own = [m for _, _, m in grams if m in nodes]
+        assert own and set(own) <= set(lattice_roots(nodes))
         column = columns(result)
-        for root in roots:
+        for root in own:
             direct = purity(stack, SubsystemMask(root, shape))
             assert np.array_equal(result.purity[:, column[root]], direct), root
 
     @pytest.mark.parametrize("scale", [10.0, 0.1, float("nan")])
     def test_corrupted_root_names_its_mask(self, monkeypatch, scale):
         gram_stack = onticsim.reduction._gram_stack
-        root = 0b100101
+        shape = FactorizationShape((2, 3, 2, 3, 2, 3))
+        # positions 1 and 3: a root no hub serves, formed by its own Gram
+        root = 0b1010
+        _, _, parent = onticsim.reduction._plan(shape, list(range(1, (1 << 6) - 1)))
+        assert parent[root] is None
 
         def corrupted(stack, mask):
             rho = gram_stack(stack, mask)
             return rho * scale if mask.mask == root else rho
 
         monkeypatch.setattr(onticsim.reduction, "_gram_stack", corrupted)
-        config = SweepConfig(shape=FactorizationShape((2,) * 6), num_states=2, seed=8)
+        config = SweepConfig(shape=shape, num_states=2, seed=8)
         with pytest.raises(NumericViolation, match=f"mask 0b{root:b},"):
             run_sweep(config)
+
+    @pytest.mark.parametrize("scale", [10.0, 0.1, float("nan")])
+    def test_corrupted_hub_names_the_first_mask_it_serves(self, monkeypatch, scale):
+        # a hub is no sweep mask and is not range-checked itself; its
+        # matrix reaches the range check through the roots it serves
+        gram_stack = onticsim.reduction._gram_stack
+        shape = FactorizationShape((2,) * 6)
+        hub = 0b1111
+        _, _, parent = onticsim.reduction._plan(shape, list(range(1, (1 << 6) - 1)))
+        served = [m for m, p in parent.items() if p == hub]
+        assert served == [0b111, 0b1011, 0b1101]
+
+        def corrupted(stack, mask):
+            rho = gram_stack(stack, mask)
+            return rho * scale if mask.mask == hub else rho
+
+        monkeypatch.setattr(onticsim.reduction, "_gram_stack", corrupted)
+        config = SweepConfig(shape=shape, num_states=2, seed=8)
+        with pytest.raises(NumericViolation, match=f"mask 0b{served[0]:b},"):
+            run_sweep(config)
+
+    @pytest.mark.parametrize(
+        "text, samples",
+        [
+            ("2^6", None),
+            ("2x3x2x3", None),
+            ("3^4", None),
+            ("2x2x5", None),
+            ("2x3x2x3x2x3", None),
+            ("2^8", 5),
+            ("2x3x2x3x2x3", 4),
+        ],
+    )
+    def test_plan_matches_brute_force(self, text, samples):
+        shape = FactorizationShape.parse(text)
+        config = SweepConfig(shape=shape, seed=29, samples_per_size=samples)
+        masks = _enumerate_masks(config, random.Random(29))
+        column, source, parent = onticsim.reduction._plan(shape, masks)
+        nodes = set(column)
+        assert nodes == {node_of(m, shape) for m in masks}
+        hubs = {}
+        for node, up in parent.items():
+            if up is None:
+                assert node in lattice_roots(nodes)
+            elif up in nodes:
+                assert up == node | (node + 1)
+            else:
+                hubs.setdefault(up, set()).add(node)
+        served = [r for held in hubs.values() for r in held]
+        # each root served at most once, by a hub one position larger
+        assert len(served) == len(set(served))
+        assert set(served) <= set(lattice_roots(nodes))
+        for hub, held in hubs.items():
+            assert all(r & hub == r and bin(hub ^ r).count("1") == 1 for r in held)
+            assert dim_of(hub, shape) <= sum(dim_of(r, shape) for r in held)
+            assert dim_of(hub, shape) <= onticsim.reduction.GRAM_DIM_CAP
+        assert hubs == brute_force_hubs(shape, nodes)
+
+    @pytest.mark.parametrize("text", ["2^6", "2x3x2x3x2x3"])
+    def test_cap_below_every_hub_forms_none(self, monkeypatch, text):
+        shape = FactorizationShape.parse(text)
+        masks = list(range(1, (1 << shape.k) - 1))
+        _, _, parent = onticsim.reduction._plan(shape, masks)
+        hubs = {p for p in parent.values() if p is not None and p not in parent}
+        assert hubs
+        cap = min(dim_of(h, shape) for h in hubs) - 1
+        assert cap >= max(dim_of(m, shape) for m in parent)
+        monkeypatch.setattr(onticsim.reduction, "GRAM_DIM_CAP", cap)
+        grams, _ = spy_lattice(monkeypatch)
+        config = SweepConfig(shape=shape, num_states=3, seed=31)
+        result = run_sweep(config)
+        nodes = {node_of(m, shape) for m in masks}
+        assert sorted(m for _, _, m in grams) == sorted(lattice_roots(nodes))
+        stack = sweep_stack(config)
+        for j, mask in enumerate(result.masks.tolist()):
+            direct = oracle_purities(stack, shape.dims, mask)
+            assert np.abs(result.purity[:, j] - direct).max() < 1e-12, mask
+
+    @pytest.mark.parametrize("basis", ["ontic", "energy"])
+    def test_hub_path_at_benchmark_scale(self, basis):
+        # every root a hub serves, and a seeded sample of the other masks,
+        # of a flagship-sized sweep against the oracle
+        shape = FactorizationShape.parse("2^12")
+        generator = random_permutation(shape.total, seed=37) if basis == "energy" else None
+        config = SweepConfig(shape=shape, num_states=3, seed=37, generator=generator)
+        result = run_sweep(config)
+        stack = sweep_stack(config)
+        masks = result.masks.tolist()
+        column, _, parent = onticsim.reduction._plan(shape, masks)
+        served = [m for m, p in parent.items() if p is not None and p not in column]
+        assert len(served) > 300
+        others = random.Random(37).sample(sorted(set(masks) - set(served)), 200)
+        for mask in served + others:
+            direct = oracle_purities(stack, shape.dims, mask)
+            j = masks.index(mask)
+            assert np.abs(result.purity[:, j] - direct).max() < 1e-12, mask
 
     def test_one_chain_of_reduced_matrices_alive(self):
         shape = FactorizationShape((2,) * 14)
@@ -566,22 +719,32 @@ class TestLattice:
         assert peak < 4 << 20
 
 
-def factorized_run(text, basis):
-    """A 5-state sweep of every proper subsystem under the shape ``text``,
-    and its amplitude stack; the states and the generator depend only on
-    the total dimension, so every factorization of it sees the same stack."""
+def factorized_run(text, basis, sizes=None, samples=None):
+    """A 5-state sweep under the shape ``text`` (every proper subsystem
+    unless ``sizes`` or ``samples`` say otherwise), and its amplitude
+    stack; the states and the generator depend only on the total
+    dimension, so every factorization of it sees the same stack."""
     shape = FactorizationShape.parse(text)
     generator = random_permutation(shape.total, seed=3) if basis == "energy" else None
-    config = SweepConfig(shape=shape, num_states=5, seed=3, generator=generator)
+    config = SweepConfig(
+        shape=shape, num_states=5, seed=3, generator=generator,
+        subset_sizes=sizes, samples_per_size=samples,
+    )
     return run_sweep(config), sweep_stack(config)
+
+
+def lift(mask, groups):
+    """The fine mask of a coarse one: coarse position p is the run of fine
+    positions ``groups[p]``."""
+    return sum(1 << f for p, run in enumerate(groups) if mask >> p & 1 for f in run)
 
 
 class TestFactorizationIdentities:
     """One amplitude stack under two factorizations of its dimension.  A
     coarse position is the run of fine positions it covers (indices are
     big-endian mixed radix), and relabelling the positions moves the mask
-    bits with them.  The lattice reaches the two sides by other roots and
-    traces, so they agree to rounding, not to the last bit."""
+    bits with them.  The lattice reaches the two sides by other roots,
+    hubs and traces, so they agree to rounding, not to the last bit."""
 
     @pytest.mark.parametrize("basis", ["ontic", "energy"])
     @pytest.mark.parametrize(
@@ -589,16 +752,41 @@ class TestFactorizationIdentities:
         [
             ("4^6", "2^12", [[2 * p, 2 * p + 1] for p in range(6)]),
             ("4x5", "2x2x5", [[0, 1], [2]]),
+            ("6x6", "2x3x2x3", [[0, 1], [2, 3]]),
+            # the fine shape serves roots from hubs, the coarse one cannot
+            ("6^3", "2x3x2x3x2x3", [[0, 1], [2, 3], [4, 5]]),
         ],
-        ids=["4^6-2^12", "4x5-2x2x5"],
+        ids=["4^6-2^12", "4x5-2x2x5", "6x6-2x3x2x3", "6^3-2x3x2x3x2x3"],
     )
     def test_coarse_mask_equals_its_lift(self, coarse, fine, groups, basis):
         coarse_run, coarse_stack = factorized_run(coarse, basis)
         fine_run, fine_stack = factorized_run(fine, basis)
         assert np.array_equal(coarse_stack, fine_stack)
-        column = {m: j for j, m in enumerate(fine_run.masks.tolist())}
+        column = columns(fine_run)
         for j, mask in enumerate(coarse_run.masks.tolist()):
-            lifted = sum(1 << f for p, run in enumerate(groups) if mask >> p & 1 for f in run)
+            lifted = lift(mask, groups)
+            gap = np.abs(coarse_run.purity[:, j] - fine_run.purity[:, column[lifted]]).max()
+            assert gap < 1e-13, mask
+
+    @pytest.mark.parametrize("basis", ["ontic", "energy"])
+    @pytest.mark.parametrize(
+        "coarse, fine, groups, samples",
+        [
+            ("4^6", "2^12", [[2 * p, 2 * p + 1] for p in range(6)], 4),
+            ("6^4", "2x3x2x3x2x3x2x3", [[2 * p, 2 * p + 1] for p in range(4)], 2),
+        ],
+        ids=["4^6-2^12", "6^4-2x3x2x3x2x3x2x3"],
+    )
+    def test_sampled_coarse_masks_equal_their_lift(self, coarse, fine, groups, samples, basis):
+        # a sampled= coarse run against a sizes= fine run of the lifted sizes
+        coarse_run, coarse_stack = factorized_run(coarse, basis, samples=samples)
+        sizes = tuple(2 * a for a in sorted(set(coarse_run.sizes.tolist())))
+        fine_run, fine_stack = factorized_run(fine, basis, sizes=sizes)
+        assert np.array_equal(coarse_stack, fine_stack)
+        assert coarse_run.masks.size < 2 ** len(groups) - 2
+        column = columns(fine_run)
+        for j, mask in enumerate(coarse_run.masks.tolist()):
+            lifted = lift(mask, groups)
             gap = np.abs(coarse_run.purity[:, j] - fine_run.purity[:, column[lifted]]).max()
             assert gap < 1e-13, mask
 
@@ -989,6 +1177,28 @@ class TestTimeSeries:
                 "--mask", "1,2", "--ontic", q.serialize(), "--t-max", "15"]
         assert main(argv) == 3
         assert "numeric invariant violated: state norm" in capsys.readouterr().err
+
+    def test_gather_that_is_no_bijection_is_a_numeric_violation(self, monkeypatch, capsys):
+        power_images = Permutation.power_images
+
+        def duplicated(self, t):
+            # point 1 read twice and point 0 never
+            images = power_images(self, t).copy()
+            images[images == 0] = 1
+            return images
+
+        monkeypatch.setattr(Permutation, "power_images", duplicated)
+        shape = FactorizationShape((2,) * 4)
+        # w = N/2: every amplitude has magnitude 1/4, so every norm stays 1
+        q = OnticVector.from_array([1, 0] * 8)
+        g = Permutation.parse(16, "(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)")
+        mask = SubsystemMask.from_positions(shape, [0, 1])
+        with pytest.raises(NumericViolation, match="step 0 is not a bijection of the 16 points"):
+            run_time_series(shape, q, g, mask, range(16))
+        argv = ["evolve", "--shape", "2^4", "--generator", g.cycle_string(),
+                "--mask", "1,2", "--ontic", q.serialize(), "--t-max", "15"]
+        assert main(argv) == 3
+        assert "is not a bijection" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "dims, positions",
