@@ -6,14 +6,16 @@ statistics of random permutations), ``overlap`` (state overlap of two bit
 patterns), ``area`` (orthant sphere area and the state-count lower bound).
 
 Exit codes: 0 success, 2 configuration error, an output that cannot be
-opened or written, or a run that does not fit in memory, 3 numeric-invariant
-violation.  A stdout closed by its reader (``| head``) ends the run
-silently with exit 1, as Python's own SIGPIPE handling does.
+opened or written (a directory, or a file in a missing directory, is
+rejected before the run), or a run that does not fit in memory, 3
+numeric-invariant violation.  A stdout closed by its reader (``| head``)
+ends the run silently with exit 1, as Python's own SIGPIPE handling does.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -38,6 +40,20 @@ from .indexing import (
     orthant_sphere_area,
 )
 from .permrep import Permutation
+
+
+def _check_outputs(*paths: str | None) -> None:
+    """Raise the OSError that opening an output would raise for a path
+    that is a directory or lies in a missing directory, before any work is
+    done and without opening or truncating anything.  Stdout (None or "-")
+    passes."""
+    for path in paths:
+        if path in (None, "-"):
+            continue
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _write_output(path: str | None, blocks: Iterable[str]) -> None:
@@ -85,6 +101,7 @@ def _parse_subset_policy(text: str) -> tuple[tuple[int, ...] | None, int | None]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    _check_outputs(args.out, args.plot_data)
     shape = FactorizationShape.parse(args.shape)
     if (args.basis == "energy") != bool(args.generator):
         raise ConfigError("--basis energy and --generator must be given together")
@@ -124,6 +141,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
+    _check_outputs(args.out)
     if args.t_max < 0:
         raise ConfigError(f"--t-max must be >= 0, got {args.t_max}")
     shape = FactorizationShape.parse(args.shape)
@@ -148,6 +166,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_cycles(args: argparse.Namespace) -> int:
+    _check_outputs(args.out)
     census = run_cycle_census(args.n, args.samples, args.seed)
     rows = (
         f"{s.length},{s.mean:.17g},{s.std_error:.17g},{s.expected:.17g},{int(s.flagged)}\n"

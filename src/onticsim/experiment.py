@@ -23,7 +23,7 @@ from .entropy import collision_entropy
 from .errors import ConfigError, EmptyInput, NumericViolation, SizeMismatch
 from .indexing import FactorizationShape, SubsystemMask, check_points
 from .permrep import Permutation, energy_basis
-from .reduction import purity, sweep_purities
+from .reduction import _squared_norms, purity, sweep_purities
 from .states import NORM_TOLERANCE, state_from_ontic
 
 __all__ = [
@@ -303,8 +303,9 @@ def run_time_series(
     are built ``BATCH_POINTS`` points at a time, each one gather of the
     state at the time listed before it (one index array per distinct
     step), and each block is norm-checked and reduced by one ``purity``
-    call.  Each index array is checked to be a bijection after the norm
-    check of the block it is first used in.
+    call.  Each index array is checked to read only the N points before
+    its first gather, and to be a bijection after the norm check of the
+    block it is first used in.
     """
     if g.n != shape.total:
         raise SizeMismatch(f"generator size {g.n} != shape total {shape.total}")
@@ -331,14 +332,16 @@ def run_time_series(
         for row, t in zip(block, times):
             step = (t - t_prev) % g.order
             if step not in gathers:
-                gathers[step] = g.power_images(-step)
+                gathers[step] = images = g.power_images(-step)
+                if images.min() < 0 or images.max() >= shape.total:
+                    raise NumericViolation(
+                        f"the index array of step {step} reads outside the {shape.total} points"
+                    )
                 fresh.append(step)
             prev.take(gathers[step], out=row)
             prev, t_prev = row, t
-        # |z|**2 summed as the squares of the real and imaginary parts, and
         # checked as Python floats: numpy's per-call cost would dominate
-        flat = block.view(block.real.dtype)
-        for t, square in zip(times, np.einsum("ij,ij->i", flat, flat).tolist()):
+        for t, square in zip(times, _squared_norms(block).tolist()):
             norm = math.sqrt(square)
             if not abs(norm - 1.0) <= NORM_TOLERANCE:
                 raise NumericViolation(
@@ -348,8 +351,7 @@ def run_time_series(
         # amplitudes share one magnitude (w = N/2), so each new index array
         # is also counted: a bijection reads each of the N points once
         for step in fresh:
-            images = gathers[step]
-            if images.min() < 0 or np.bincount(images, minlength=shape.total).max() != 1:
+            if np.bincount(gathers[step], minlength=shape.total).max() != 1:
                 raise NumericViolation(
                     f"the index array of step {step} is not a bijection of the {shape.total} points"
                 )

@@ -11,11 +11,11 @@ and runs in its dtype: float64 for the real states of the ontic basis,
 complex128 after a change to the energy basis.  ``_side`` picks the side
 of a complement pair to reduce, ``_gram_stack`` forms that side's reduced
 matrices by one transpose of the stack and one Gram product per state,
-and ``_rho_purities`` reduces them to range-checked purities.  ``purity``
-(one mask of one PureState or of a stack of states; ``evolve`` passes
-it one stack per block of time steps) goes through all three, and so do
-the roots of ``sweep_purities`` that no hub serves, so those agree with
-``purity`` to the last bit.
+``_squared_norms`` reduces them to purities and ``_check_range`` checks
+them all at once.  ``purity`` (one mask of one PureState or of a stack;
+``evolve`` passes it one stack per block of time steps) goes through all
+four, and so do the roots of ``sweep_purities`` no hub serves, so those
+agree with ``purity`` to the last bit.
 
 ``sweep_purities`` holds each complement pair of a sweep once and orders
 those subsystems in a tree: the parent of a subsystem adds its lowest
@@ -24,7 +24,8 @@ root; every other one is its parent's reduced matrix with one position
 traced out.  ``_plan`` covers the roots greedily with hubs, subsystems
 outside the sweep one position larger, each formed by one Gram product
 for several roots that are then one partial trace of it; a hub is kept
-only if its Gram product costs no more flops than the roots' own.
+only if its Gram product costs no more flops than the roots' own.  One
+flat loop runs the tree's depth-first walk.
 """
 
 from __future__ import annotations
@@ -70,24 +71,28 @@ def _bipartite_stack(stack: np.ndarray, mask: SubsystemMask) -> np.ndarray:
     return np.ascontiguousarray(tensor).reshape(s, mask.dim, -1)
 
 
-def _rho_purities(rho: np.ndarray, mask: int) -> np.ndarray:
-    """tr(rho**2) of each matrix of an (S, d, d) Hermitian stack, as its
-    squared Frobenius norm.  NumericViolation names the mask and the row
-    unless every purity lies in [1/d, 1]; NaN fails too."""
-    flat = rho.reshape(len(rho), -1)
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    """The squared norm of each array of a stack: a state's, or tr(rho**2)
+    of a Hermitian matrix."""
+    flat = rows.reshape(len(rows), -1)
     if flat.dtype.kind == "c":
         # sum |z|**2 as the squares of the real and imaginary parts
         flat = flat.view(flat.real.dtype)
-    purities = np.einsum("ij,ij->i", flat, flat)
-    dim = rho.shape[1]
-    low, high = 1.0 / dim - PURITY_TOLERANCE, 1.0 + PURITY_TOLERANCE
-    # Python floats: numpy's per-call cost would dominate one-state calls
-    for row, p in enumerate(purities.tolist()):
-        if not low <= p <= high:
-            raise NumericViolation(
-                f"purity {p!r} of mask 0b{mask:b}, state row {row}, outside [1/{dim}, 1]"
-            )
-    return purities
+    return np.einsum("ij,ij->i", flat, flat)
+
+
+def _check_range(purities: np.ndarray, masks: list[int], dims: list[int]) -> None:
+    """NumericViolation naming the first column, then the first row, of the
+    (S, M) ``purities`` outside [1/dims[j], 1] beyond ``PURITY_TOLERANCE``;
+    NaN fails too."""
+    low = 1.0 / np.array(dims) - PURITY_TOLERANCE
+    bad = ~((low <= purities) & (purities <= 1.0 + PURITY_TOLERANCE))
+    if bad.any():
+        j, row = np.argwhere(bad.T)[0].tolist()
+        raise NumericViolation(
+            f"purity {float(purities[row, j])!r} of mask 0b{masks[j]:b}, state row {row}, "
+            f"outside [1/{dims[j]}, 1]"
+        )
 
 
 def _gram_stack(stack: np.ndarray, mask: SubsystemMask) -> np.ndarray:
@@ -130,14 +135,12 @@ def _dim_lookup(shape: FactorizationShape) -> Callable[[int], int]:
     return lambda m: low_dims[m & ((1 << half) - 1)] * high_dims[m >> half]
 
 
-def _plan(
-    shape: FactorizationShape, masks: list[int]
-) -> tuple[dict[int, int], np.ndarray, dict[int, int | None]]:
-    """The walk of ``sweep_purities`` from the shape and the masks alone:
-    each node's column, the ``source`` array, and each node's parent, the
-    subsystem its reduced matrix is traced out of (None for a node formed
-    by its own Gram product).  A parent that is no node is a hub, one
-    position larger than each root it serves."""
+def _plan(shape: FactorizationShape, masks: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``source`` array and the walk of ``sweep_purities``, from the
+    shape and the masks alone: the depth-first visit order as the rows
+    (mask, depth, column) of a (W, 3) int64 array.  A step at depth 0 is a
+    Gram product, of a hub (column -1) or of a root no hub serves; a step
+    at depth i > 0 is traced out of the last earlier step at depth i - 1."""
     dim_of = _dim_lookup(shape)
     # node -> the column its purities go to: its own when enumerated,
     # else its complement's
@@ -184,9 +187,19 @@ def _plan(
         # a hub's Gram product costs no more flops than the roots' own,
         # and stays within the cap
         elif dim_of(hub) <= min(GRAM_DIM_CAP, sum(dim_of(root) for root in free)):
-            for root in free:
-                parent[root] = hub
-    return column, source, parent
+            parent.update(dict.fromkeys(free, hub))
+    children: dict[int | None, list[int]] = {}
+    for node, up in parent.items():
+        children.setdefault(up, []).append(node)
+    # the Gram products: each hub, then each root no hub serves
+    own = children.pop(None, [])
+    todo = [(top, 0) for top in [up for up in children if up not in column] + own][::-1]
+    walk: list[int] = []  # flat: three list slots a step
+    while todo:
+        node, depth = todo.pop()
+        walk += node, depth, column.get(node, -1)
+        todo += [(child, depth + 1) for child in children.get(node, [])[::-1]]
+    return source, np.array(walk, np.int64).reshape(-1, 3)
 
 
 def sweep_purities(
@@ -203,49 +216,37 @@ def sweep_purities(
     whose node has a dimension over ``GRAM_DIM_CAP`` raises ConfigError
     before any Gram product is formed.
 
-    Every node but the roots is its parent's reduced matrix with one
-    position traced out.  The parent of a node m is m | (m + 1), m plus
-    its lowest absent position, when that is a node of this sweep; the
-    other nodes are roots.  A root is served by a hub when ``_plan``
-    finds one: a subsystem outside the sweep, one position larger, whose
-    reduced matrix is formed once, by one transpose of the stack and one
-    Gram product per state, for several roots, and never written out.  A
-    root with no hub is formed by a Gram product of its own.  The walk is
-    depth first, so one chain of reduced matrices from a Gram product is
-    alive at a time.  Every node's purities must lie in [1/d_node, 1],
-    else NumericViolation names the node; a corrupted hub shows in the
-    first root it serves.
+    One loop runs the walk of ``_plan`` with a chain of live reduced
+    matrices, one per depth, cut back to each step's depth before the step,
+    so one chain from one Gram product is alive at a time.  Then one range
+    check requires each node's purities to lie in [1/d_node, 1], else
+    NumericViolation names the first bad node in visit order; a corrupted
+    hub shows in the first root traced out of it.
     """
-    column, source, parent = _plan(shape, masks)
-    children: dict[int | None, list[int]] = {}
-    for node, up in parent.items():
-        children.setdefault(up, []).append(node)
-    # the Gram products: each hub, then each root no hub serves
-    own = children.pop(None, [])
-    grams = [up for up in children if up not in column] + own
+    source, walk = _plan(shape, masks)
     dim_of = _dim_lookup(shape)
     s = stack.shape[0]
     out = np.empty((s, len(masks)))
-
-    def trace(rho: np.ndarray, node: int, pos: int) -> np.ndarray:
-        """The node's reduced matrices with position pos traced out: b is
-        the dimension of the node's positions before pos, a after it."""
-        b, d = dim_of(node & ((1 << pos) - 1)), shape.dims[pos]
-        a = rho.shape[1] // (b * d)
-        traced = np.einsum("sabcdbe->sacde", rho.reshape(s, b, d, a, b, d, a))
-        return traced.reshape(s, b * a, b * a)
-
-    def visit(node: int, rho: np.ndarray) -> None:
-        if node in column:
-            out[:, column[node]] = _rho_purities(rho, node)
-        for child in children.get(node, ()):
-            # passed on unnamed, so no sibling's matrix is alive while
-            # this child's subtree is walked
-            visit(child, trace(rho, node, (node ^ child).bit_length() - 1))
-
-    for top in grams:
-        # unnamed too: a hub's matrix is freed before the next Gram product
-        visit(top, _gram_stack(stack, SubsystemMask(top, shape)))
+    # (mask, reduced matrices) of the last step at each depth so far
+    chain: list[tuple[int, np.ndarray]] = []
+    for node, depth, col in walk.tolist():
+        del chain[depth:]
+        if depth:
+            # b is the dimension of up's positions below pos, a above it
+            up, rho = chain[-1]
+            pos = (up ^ node).bit_length() - 1
+            b, d = dim_of(up & ((1 << pos) - 1)), shape.dims[pos]
+            a = rho.shape[1] // (b * d)
+            rho = np.einsum("sabcdbe->sacde", rho.reshape(s, b, d, a, b, d, a))
+            rho = rho.reshape(s, b * a, b * a)
+        else:
+            rho = _gram_stack(stack, SubsystemMask(node, shape))
+        chain.append((node, rho))
+        if col >= 0:
+            out[:, col] = _squared_norms(rho)
+    written = walk[walk[:, 2] >= 0]
+    nodes = written[:, 0].tolist()
+    _check_range(out[:, written[:, 2]], nodes, [dim_of(m) for m in nodes])
     return out[:, source], source
 
 
@@ -277,8 +278,8 @@ def purity(psi: PureState | np.ndarray, mask: SubsystemMask) -> float | np.ndarr
         raise ConfigError(f"amplitude stack of shape {psi.shape} does not match {mask.shape}")
     else:
         _check_proper(mask)
-    side, _ = _side(mask.mask, mask.dim, mask.shape)
-    rho = _gram_stack(psi, mask if side == mask.mask else mask.complement())
-    purities = _rho_purities(rho, mask.mask)
+    side, dim = _side(mask.mask, mask.dim, mask.shape)
+    purities = _squared_norms(_gram_stack(psi, mask if side == mask.mask else mask.complement()))
+    _check_range(purities[:, np.newaxis], [mask.mask], [dim])
     return float(purities[0]) if one else purities
 

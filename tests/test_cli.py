@@ -504,16 +504,38 @@ def test_unwritable_out_exits_2(argv, target, tmp_path, capsys):
     assert str(path) in err
 
 
-def test_unwritable_plot_data_exits_2_after_the_csv(tmp_path, capsys):
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize(
+    "run, argv",
+    [
+        ("run_sweep", ["sweep", "--shape", "2x2", "--out"]),
+        ("run_sweep", ["sweep", "--shape", "2x2", "--out", "/dev/null", "--plot-data"]),
+        ("run_time_series",
+         ["evolve", "--shape", "2x2", "--generator", "(0 1)", "--mask", "1", "--out"]),
+        ("run_cycle_census", ["cycles", "--n", "5", "--out"]),
+    ],
+    ids=["sweep-out", "sweep-plot-data", "evolve-out", "cycles-out"],
+)
+def test_unwritable_output_exits_2_before_the_run(run, argv, target, tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(onticsim.cli, run, lambda *args, **kwargs: calls.append(args))
+    path = tmp_path / "missing" / "x.csv" if target == "missing-directory" else tmp_path
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+
+
+def test_unwritable_plot_data_exits_2_before_the_csv(tmp_path, capsys):
     csv = tmp_path / "x.csv"
+    csv.write_text("kept\n")
     plot = tmp_path / "missing" / "plot.txt"
     code, _, err = run_cli(
         capsys, "sweep", "--shape", "2x2", "--out", str(csv), "--plot-data", str(plot)
     )
     assert code == 2
-    assert err.startswith("error: ") and str(plot) in err
-    # outputs are opened once the run is done, so the CSV is already written
-    assert csv.read_text().startswith("# tool=")
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(plot) in err
+    # every output is checked before the run, so the CSV is not even opened
+    assert csv.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize(

@@ -137,23 +137,33 @@ def brute_force_hubs(shape, nodes):
 
 def spy_lattice(monkeypatch):
     """Record the sweep kernel's Gram products (of hubs and of roots no hub
-    serves) as (stack shape, dtype, mask) and the masks whose purities it
-    reduces and range-checks, in call order."""
-    grams, checked = [], []
+    serves) as (stack shape, dtype, mask), in call order."""
+    grams = []
     gram_stack = onticsim.reduction._gram_stack
-    rho_purities = onticsim.reduction._rho_purities
 
     def gram_spy(stack, mask):
         grams.append((stack.shape, stack.dtype, mask.mask))
         return gram_stack(stack, mask)
 
-    def check_spy(rho, mask):
-        checked.append(mask)
-        return rho_purities(rho, mask)
-
     monkeypatch.setattr(onticsim.reduction, "_gram_stack", gram_spy)
-    monkeypatch.setattr(onticsim.reduction, "_rho_purities", check_spy)
-    return grams, checked
+    return grams
+
+
+def walk_of(shape, masks):
+    """The steps (mask, depth, column) of the sweep's walk, each with the
+    mask of the step it is traced out of, the last earlier step one depth
+    shallower (None at depth 0)."""
+    _, walk = onticsim.reduction._plan(shape, masks)
+    last, steps = {}, []
+    for mask, depth, column in walk.tolist():
+        steps.append((mask, depth, column, last.get(depth - 1)))
+        last[depth] = mask
+    return steps
+
+
+def written_nodes(shape, masks):
+    """The masks whose purities the walk writes, in visit order."""
+    return [m for m, _, column, _ in walk_of(shape, masks) if column >= 0]
 
 
 def assert_complements_match_own_layout(result, config, tol):
@@ -207,7 +217,7 @@ class TestSweepConfig:
 
     def test_memory_budget_names_the_first_mask_over_it(self, monkeypatch):
         monkeypatch.setattr(onticsim.reduction, "GRAM_DIM_CAP", 16)
-        grams, _ = spy_lattice(monkeypatch)
+        grams = spy_lattice(monkeypatch)
         shape = FactorizationShape((2, 3, 5, 7, 2, 3))
         for mask in (
             _mask_of_rank(shape.k, a, rank)
@@ -384,16 +394,17 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("basis", ["ontic", "energy"])
     def test_one_stacked_purity_call_per_complement_pair(self, monkeypatch, basis):
-        grams, checked = spy_lattice(monkeypatch)
+        grams = spy_lattice(monkeypatch)
         shape = FactorizationShape((2, 2, 2))
         generator = Permutation.from_cycles(8, [(0, 3, 5)]) if basis == "energy" else None
-        run_sweep(SweepConfig(shape=shape, num_states=3, seed=4, generator=generator))
+        result = run_sweep(SweepConfig(shape=shape, num_states=3, seed=4, generator=generator))
         dtype = np.float64 if basis == "ontic" else np.complex128
         # three pairs, each a root: 1 and 2 are traced out of the hub 3,
-        # formed by one Gram product of the whole stack, and 4 by its own;
-        # one range check of each pair's purities
+        # formed by one Gram product of the whole stack, and 4 by its own
         assert grams == [((3, 8), dtype, m) for m in (3, 4)]
-        assert checked == [1, 2, 4]
+        assert walk_of(shape, result.masks.tolist()) == [
+            (3, 0, -1, None), (1, 1, 0, 3), (2, 1, 1, 3), (4, 0, 2, None)
+        ]
 
     @pytest.mark.parametrize(
         "dims, sizes, nodes, roots",
@@ -413,11 +424,12 @@ class TestRunSweep:
     def test_kernel_computes_each_pair_node(
         self, monkeypatch, dims, sizes, nodes, roots
     ):
-        grams, checked = spy_lattice(monkeypatch)
+        grams = spy_lattice(monkeypatch)
         shape = FactorizationShape(dims)
         result = run_sweep(
             SweepConfig(shape=shape, num_states=2, seed=5, subset_sizes=sizes)
         )
+        written = written_nodes(shape, result.masks.tolist())
         assert lattice_roots(nodes) == roots
         # a Gram product for each hub and each root no hub serves
         hubs = brute_force_hubs(shape, set(nodes))
@@ -425,19 +437,20 @@ class TestRunSweep:
         expected = set(hubs) | {r for r in roots if r not in served}
         masks = [m for _, _, m in grams]
         assert len(masks) == len(expected) and set(masks) == expected
-        assert sorted(checked) == sorted(nodes)
-        assert sorted(checked) == sorted({node_of(m, shape) for m in result.masks.tolist()})
+        assert sorted(written) == sorted(nodes)
+        assert sorted(written) == sorted({node_of(m, shape) for m in result.masks.tolist()})
         assert result.purity.shape == (2, result.masks.size)
 
     @pytest.mark.parametrize("k, states, count", [(12, 2, 462), (14, 1, 1716)])
     def test_roots_are_half_size_masks_holding_position_0(
         self, monkeypatch, k, states, count
     ):
-        grams, checked = spy_lattice(monkeypatch)
+        grams = spy_lattice(monkeypatch)
         shape = FactorizationShape((2,) * k)
-        run_sweep(SweepConfig(shape=shape, num_states=states, seed=2))
-        assert len(checked) == len(set(checked)) == (1 << k - 1) - 1
-        roots = lattice_roots(set(checked))
+        result = run_sweep(SweepConfig(shape=shape, num_states=states, seed=2))
+        written = written_nodes(shape, result.masks.tolist())
+        assert len(written) == len(set(written)) == (1 << k - 1) - 1
+        roots = lattice_roots(set(written))
         assert len(roots) == count == math.comb(k - 1, k // 2 - 1)
         assert all(m & 1 and bin(m).count("1") == k // 2 for m in roots)
         # the Gram products: 110 at k = 12 and 346 at k = 14, each a hub
@@ -452,32 +465,33 @@ class TestRunSweep:
         assert held.isdisjoint(own) and held | set(own) == set(roots)
 
     def test_sampled_sweep_computes_each_drawn_pair_once(self, monkeypatch):
-        grams, checked = spy_lattice(monkeypatch)
+        grams = spy_lattice(monkeypatch)
         calls = []
         monkeypatch.setattr(onticsim.experiment, "purity", calls.append)
         shape = FactorizationShape((2,) * 6)
         config = SweepConfig(shape=shape, num_states=2, seed=3, samples_per_size=4)
         result = run_sweep(config)
         drawn = result.masks.tolist()
+        written = written_nodes(shape, drawn)
         full = (1 << 6) - 1
         unpaired = [m for m in drawn if full ^ m not in drawn]
         pairs = copied_sides(result, 6)
         # the draw has both kinds: masks with and without a drawn partner
         assert unpaired and pairs
-        assert sorted(checked) == sorted({node_of(m, shape) for m in drawn})
-        assert len(checked) == len(unpaired) + len(pairs)
+        assert sorted(written) == sorted({node_of(m, shape) for m in drawn})
+        assert len(written) == len(unpaired) + len(pairs)
         assert grams and calls == []
 
     @pytest.mark.parametrize(
         "dims, samples", [((2,) * 6, None), ((2, 3, 2, 3, 2), None), ((2,) * 8, 5)]
     )
     def test_source_names_the_computed_side_of_each_pair(self, monkeypatch, dims, samples):
-        _, checked = spy_lattice(monkeypatch)
         shape = FactorizationShape(dims)
         result = run_sweep(
             SweepConfig(shape=shape, num_states=2, seed=19, samples_per_size=samples)
         )
         masks = result.masks.tolist()
+        written = written_nodes(shape, masks)
         column = columns(result)
         expected = [column.get(node_of(m, shape), j) for j, m in enumerate(masks)]
         assert result.source.tolist() == expected
@@ -485,7 +499,7 @@ class TestRunSweep:
         if samples is None:
             # some copies read a column enumerated later than their own
             assert any(expected[j] > j for j in range(len(masks)))
-        assert sorted(checked) == sorted({node_of(m, shape) for m in masks})
+        assert sorted(written) == sorted({node_of(m, shape) for m in masks})
         assert not result.source.flags.writeable
 
     @pytest.mark.parametrize("dims", [(2, 3, 2, 3, 2), (2,) * 6])
@@ -574,7 +588,7 @@ class TestLattice:
         # a node formed by its own Gram product, a root no hub serves, comes
         # from the same Gram former and reducer as purity's, so the two
         # agree to the last bit
-        grams, _ = spy_lattice(monkeypatch)
+        grams = spy_lattice(monkeypatch)
         shape = FactorizationShape.parse(text)
         generator = random_permutation(shape.total, seed=23) if basis == "energy" else None
         config = SweepConfig(shape=shape, num_states=3, seed=23, generator=generator)
@@ -594,8 +608,8 @@ class TestLattice:
         shape = FactorizationShape((2, 3, 2, 3, 2, 3))
         # positions 1 and 3: a root no hub serves, formed by its own Gram
         root = 0b1010
-        _, _, parent = onticsim.reduction._plan(shape, list(range(1, (1 << 6) - 1)))
-        assert parent[root] is None
+        steps = walk_of(shape, list(range(1, (1 << 6) - 1)))
+        assert [(d, c >= 0) for m, d, c, _ in steps if m == root] == [(0, True)]
 
         def corrupted(stack, mask):
             rho = gram_stack(stack, mask)
@@ -613,8 +627,8 @@ class TestLattice:
         gram_stack = onticsim.reduction._gram_stack
         shape = FactorizationShape((2,) * 6)
         hub = 0b1111
-        _, _, parent = onticsim.reduction._plan(shape, list(range(1, (1 << 6) - 1)))
-        served = [m for m, p in parent.items() if p == hub]
+        steps = walk_of(shape, list(range(1, (1 << 6) - 1)))
+        served = [m for m, _, _, up in steps if up == hub]
         assert served == [0b111, 0b1011, 0b1101]
 
         def corrupted(stack, mask):
@@ -625,6 +639,28 @@ class TestLattice:
         config = SweepConfig(shape=shape, num_states=2, seed=8)
         with pytest.raises(NumericViolation, match=f"mask 0b{served[0]:b},"):
             run_sweep(config)
+
+    def test_every_node_range_checked_once_in_visit_order(self, monkeypatch):
+        # every Gram product corrupted: the message names the first node the
+        # walk writes, from one range check over all the written nodes
+        gram_stack = onticsim.reduction._gram_stack
+        check_range = onticsim.reduction._check_range
+        checks = []
+
+        def spy(purities, masks, dims):
+            checks.append((purities.shape, masks, dims))
+            return check_range(purities, masks, dims)
+
+        monkeypatch.setattr(
+            onticsim.reduction, "_gram_stack", lambda stack, mask: gram_stack(stack, mask) * 10.0
+        )
+        monkeypatch.setattr(onticsim.reduction, "_check_range", spy)
+        shape = FactorizationShape.parse("2x3x2x3x2")
+        config = SweepConfig(shape=shape, num_states=2, seed=8)
+        nodes = written_nodes(shape, _enumerate_masks(config, random.Random(8)))
+        with pytest.raises(NumericViolation, match=f"mask 0b{nodes[0]:b}, state row 0,"):
+            run_sweep(config)
+        assert checks == [((2, len(nodes)), nodes, [dim_of(m, shape) for m in nodes])]
 
     @pytest.mark.parametrize(
         "text, samples",
@@ -642,20 +678,36 @@ class TestLattice:
         shape = FactorizationShape.parse(text)
         config = SweepConfig(shape=shape, seed=29, samples_per_size=samples)
         masks = _enumerate_masks(config, random.Random(29))
-        column, source, parent = onticsim.reduction._plan(shape, masks)
-        nodes = set(column)
-        assert nodes == {node_of(m, shape) for m in masks}
+        source, _ = onticsim.reduction._plan(shape, masks)
+        steps = walk_of(shape, masks)
+        nodes = {node_of(m, shape) for m in masks}
+        # each pair computed once, on its node, in the node's own column
+        # when the node is enumerated and its complement's otherwise
+        column = {m: c for m, _, c, _ in steps if c >= 0}
+        assert len(column) == sum(c >= 0 for _, _, c, _ in steps)
+        assert set(column) == nodes
+        full = (1 << shape.k) - 1
+        for node, c in column.items():
+            assert masks[c] == (node if node in set(masks) else full ^ node)
+        assert source.tolist() == [column[node_of(m, shape)] for m in masks]
         hubs = {}
-        for node, up in parent.items():
-            if up is None:
-                assert node in lattice_roots(nodes)
-            elif up in nodes:
-                assert up == node | (node + 1)
+        for mask, depth, c, up in steps:
+            if c < 0:
+                # a hub: a Gram product of no node, never written
+                assert depth == 0 and mask not in nodes
+            elif depth == 0:
+                assert mask in lattice_roots(nodes)
             else:
-                hubs.setdefault(up, set()).add(node)
+                # traced out of the last earlier step one depth shallower,
+                # one position larger: the lattice parent, or a hub
+                assert up is not None and up & mask == mask
+                assert bin(up ^ mask).count("1") == 1
+                if up in nodes:
+                    assert up == mask | (mask + 1)
+                else:
+                    hubs.setdefault(up, set()).add(mask)
+        assert len(hubs) == sum(c < 0 for _, _, c, _ in steps)
         served = [r for held in hubs.values() for r in held]
-        # each root served at most once, by a hub one position larger
-        assert len(served) == len(set(served))
         assert set(served) <= set(lattice_roots(nodes))
         for hub, held in hubs.items():
             assert all(r & hub == r and bin(hub ^ r).count("1") == 1 for r in held)
@@ -667,13 +719,13 @@ class TestLattice:
     def test_cap_below_every_hub_forms_none(self, monkeypatch, text):
         shape = FactorizationShape.parse(text)
         masks = list(range(1, (1 << shape.k) - 1))
-        _, _, parent = onticsim.reduction._plan(shape, masks)
-        hubs = {p for p in parent.values() if p is not None and p not in parent}
+        steps = walk_of(shape, masks)
+        hubs = {m for m, _, c, _ in steps if c < 0}
         assert hubs
         cap = min(dim_of(h, shape) for h in hubs) - 1
-        assert cap >= max(dim_of(m, shape) for m in parent)
+        assert cap >= max(dim_of(m, shape) for m, _, c, _ in steps if c >= 0)
         monkeypatch.setattr(onticsim.reduction, "GRAM_DIM_CAP", cap)
-        grams, _ = spy_lattice(monkeypatch)
+        grams = spy_lattice(monkeypatch)
         config = SweepConfig(shape=shape, num_states=3, seed=31)
         result = run_sweep(config)
         nodes = {node_of(m, shape) for m in masks}
@@ -693,8 +745,9 @@ class TestLattice:
         result = run_sweep(config)
         stack = sweep_stack(config)
         masks = result.masks.tolist()
-        column, _, parent = onticsim.reduction._plan(shape, masks)
-        served = [m for m, p in parent.items() if p is not None and p not in column]
+        steps = walk_of(shape, masks)
+        hubs = {m for m, _, c, _ in steps if c < 0}
+        served = [m for m, _, _, up in steps if up in hubs]
         assert len(served) > 300
         others = random.Random(37).sample(sorted(set(masks) - set(served)), 200)
         for mask in served + others:
@@ -1177,6 +1230,29 @@ class TestTimeSeries:
                 "--mask", "1,2", "--ontic", q.serialize(), "--t-max", "15"]
         assert main(argv) == 3
         assert "numeric invariant violated: state norm" in capsys.readouterr().err
+
+    def test_gather_outside_the_points_is_a_numeric_violation(self, monkeypatch, capsys):
+        power_images = Permutation.power_images
+
+        def overrun(self, t):
+            # the last entry reads point N, one past the end
+            images = power_images(self, t).copy()
+            images[-1] = self.n
+            return images
+
+        monkeypatch.setattr(Permutation, "power_images", overrun)
+        shape = FactorizationShape((2,) * 4)
+        q = OnticVector.from_array([1] + [0] * 15)
+        g = Permutation.parse(16, "(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)")
+        mask = SubsystemMask.from_positions(shape, [0, 1])
+        with pytest.raises(NumericViolation, match="step 0 reads outside the 16 points"):
+            run_time_series(shape, q, g, mask, range(16))
+        argv = ["evolve", "--shape", "2^4", "--generator", g.cycle_string(),
+                "--mask", "1,2", "--ontic", q.serialize(), "--t-max", "15"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "numeric invariant violated: the index array" in err
+        assert "Traceback" not in err
 
     def test_gather_that_is_no_bijection_is_a_numeric_violation(self, monkeypatch, capsys):
         power_images = Permutation.power_images
