@@ -6,10 +6,11 @@ statistics of random permutations), ``overlap`` (state overlap of two bit
 patterns), ``area`` (orthant sphere area and the state-count lower bound).
 
 Exit codes: 0 success, 2 configuration error, an output that cannot be
-opened or written (a directory, or a file in a missing directory, is
-rejected before the run), or a run that does not fit in memory, 3
-numeric-invariant violation.  A stdout closed by its reader (``| head``)
-ends the run silently with exit 1, as Python's own SIGPIPE handling does.
+opened or written (a directory, a file in a missing directory, or two
+outputs naming one file, is rejected before the run), or a run that does
+not fit in memory, 3 numeric-invariant violation.  A stdout closed by
+its reader (``| head``) ends the run silently with exit 1, as Python's
+own SIGPIPE handling does.
 """
 
 from __future__ import annotations
@@ -45,8 +46,10 @@ from .permrep import Permutation
 def _check_outputs(*paths: str | None) -> None:
     """Raise the OSError that opening an output would raise for a path
     that is a directory or lies in a missing directory, before any work is
-    done and without opening or truncating anything.  Stdout (None or "-")
-    passes."""
+    done and without opening or truncating anything; ConfigError for two
+    paths that name one file, which the second write would truncate.
+    Stdout (None or "-") passes, and so does the null device."""
+    files: list[str] = []
     for path in paths:
         if path in (None, "-"):
             continue
@@ -54,6 +57,16 @@ def _check_outputs(*paths: str | None) -> None:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        if path == os.devnull:
+            continue
+        for other in files:
+            if (
+                os.path.samefile(other, path)
+                if os.path.exists(other) and os.path.exists(path)
+                else os.path.realpath(other) == os.path.realpath(path)
+            ):
+                raise ConfigError(f"outputs {other!r} and {path!r} name the same file")
+        files.append(path)
 
 
 def _write_output(path: str | None, blocks: Iterable[str]) -> None:

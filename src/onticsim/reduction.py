@@ -10,12 +10,13 @@ One kernel takes the amplitudes of S states stacked as an (S, N) array
 and runs in its dtype: float64 for the real states of the ontic basis,
 complex128 after a change to the energy basis.  ``_side`` picks the side
 of a complement pair to reduce, ``_gram_stack`` forms that side's reduced
-matrices by one transpose of the stack and one Gram product per state,
-``_squared_norms`` reduces them to purities and ``_check_range`` checks
-them all at once.  ``purity`` (one mask of one PureState or of a stack;
-``evolve`` passes it one stack per block of time steps) goes through all
-four, and so do the roots of ``sweep_purities`` no hub serves, so those
-agree with ``purity`` to the last bit.
+matrices by one transpose of the stack and one batched Gram product
+against a conjugate copy, ``_squared_norms`` reduces them to purities
+and ``_check_range`` checks them all at once.  ``purity`` (one mask of
+one PureState or of a stack; ``evolve`` passes it one stack per block of
+time steps) goes through all four, and so do the roots of
+``sweep_purities`` no hub serves, so those agree with ``purity`` to the
+last bit.
 
 ``sweep_purities`` holds each complement pair of a sweep once and orders
 those subsystems in a tree: the parent of a subsystem adds its lowest
@@ -96,15 +97,13 @@ def _check_range(purities: np.ndarray, masks: list[int], dims: list[int]) -> Non
 
 
 def _gram_stack(stack: np.ndarray, mask: SubsystemMask) -> np.ndarray:
-    """The (S, d, d) reduced matrices Psi Psi† of the mask's side, one Gram
-    product per state."""
+    """The (S, d, d) reduced matrices Psi Psi† of the mask's side, one
+    batched Gram product of the stack against a conjugate copy of it."""
     mats = _bipartite_stack(stack, mask)
-    rho = np.empty((len(mats), mask.dim, mask.dim), stack.dtype)
-    for row, m in enumerate(mats):
-        # on a real array .conj() returns the array itself, so the real
-        # path makes no conjugate copy
-        np.matmul(m, m.conj().T, out=rho[row])
-    return rho
+    # np.conjugate always allocates: a separate second buffer sends real
+    # and complex stacks alike to gemm, not to numpy's syrk path for one
+    # buffer times its own transpose
+    return mats @ np.conjugate(mats).transpose(0, 2, 1)
 
 
 def _side(mask: int, dim: int, shape: FactorizationShape) -> tuple[int, int]:

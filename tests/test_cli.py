@@ -539,6 +539,56 @@ def test_unwritable_plot_data_exits_2_before_the_csv(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "out, plot, exists",
+    [
+        ("same.txt", "same.txt", True),
+        ("same.txt", "same.txt", False),
+        ("./same.txt", "same.txt", True),
+        ("./same.txt", "same.txt", False),
+        ("same.txt", "sub/../same.txt", False),
+        ("same.txt", "{tmp}/same.txt", False),
+        ("symlink.txt", "same.txt", True),
+        ("symlink.txt", "same.txt", False),
+        ("hardlink.txt", "same.txt", True),
+    ],
+    ids=["equal-existing", "equal-new", "dot-slash-existing", "dot-slash-new", "dot-dot-new",
+         "absolute-new", "symlink-existing", "symlink-dangling", "hardlink-existing"],
+)
+def test_outputs_naming_one_file_exit_2_before_the_run(
+    out, plot, exists, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    if exists:
+        (tmp_path / "same.txt").write_bytes(b"kept\r\n\x00")
+    if out == "symlink.txt":
+        (tmp_path / out).symlink_to(tmp_path / "same.txt")
+    elif out == "hardlink.txt":
+        (tmp_path / out).hardlink_to(tmp_path / "same.txt")
+    calls = []
+    monkeypatch.setattr(onticsim.cli, "run_sweep", lambda *args, **kwargs: calls.append(args))
+    plot = plot.format(tmp=tmp_path)
+    code, stdout, err = run_cli(
+        capsys, "sweep", "--shape", "2x2", "--states", "1", "--out", out, "--plot-data", plot
+    )
+    assert (code, stdout, calls) == (2, "", [])
+    assert err == f"error: outputs {out!r} and {plot!r} name the same file\n"
+    if exists:
+        assert (tmp_path / "same.txt").read_bytes() == b"kept\r\n\x00"
+    else:
+        assert not (tmp_path / "same.txt").exists()
+
+
+@pytest.mark.parametrize("path", ["-", "/dev/null"])
+def test_stdout_and_null_device_may_be_given_twice(path, capsys):
+    code, out, _ = run_cli(
+        capsys, "sweep", "--shape", "2x2", "--ontic", "4:0xC", "--out", path, "--plot-data", path
+    )
+    assert code == 0
+    assert ("0,1,1,1,0\n" in out) == (path == "-")
+
+
+@pytest.mark.parametrize(
     "shape, states, reads",
     [
         # about 1 MB of CSV, far more than a pipe buffers, so the writer is

@@ -1,6 +1,10 @@
 """Argv for every subcommand drawn from small grammars, valid and
 malformed, run through ``cli.main`` in-process: each ends in exit 0, 2 or
-3 (argparse's own exit counts as 2), and nothing else is raised."""
+3 (argparse's own exit counts as 2), and nothing else is raised.  A sweep
+whose ``--out`` and ``--plot-data`` name one file, under any spelling,
+ends in exit 2."""
+
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +57,11 @@ def argv(outputs, bad, shape):
         return st.tuples(*parts).map(lambda drawn: [name] + [a for part in drawn for a in part])
 
     out = opt("--out", outputs)
+    # a sweep's two outputs drawn apart, or one value drawn for both
+    sweep_outs = st.one_of(
+        st.tuples(out, opt("--plot-data", outputs)).map(lambda pair: pair[0] + pair[1]),
+        st.sampled_from(outputs[0]).map(lambda v: ["--out", v, "--plot-data", v]),
+    )
     # an energy-basis sweep needs a generator; a malformed run may give
     # either alone
     basis = (
@@ -64,8 +73,8 @@ def argv(outputs, bad, shape):
         command(
             "sweep", opt("--shape", shapes, True), opt("--states", STATES),
             opt("--seed", SEEDS), basis, opt("--subset-policy", POLICIES),
-            opt("--density", DENSITIES), opt("--ontic", ontics), opt("--ontic", ontics), out,
-            opt("--plot-data", outputs), switch("--summary"),
+            opt("--density", DENSITIES), opt("--ontic", ontics), opt("--ontic", ontics),
+            sweep_outs, switch("--summary"),
         ),
         command(
             "evolve", opt("--shape", shapes, True), opt("--generator", CYCLES, True),
@@ -90,10 +99,14 @@ def argv(outputs, bad, shape):
 
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
-    """Output paths: stdout, /dev/null and a file, then a directory and a
+    """Output paths: stdout, /dev/null and one file under three spellings
+    (plain, through ``..`` and through a symlink), then a directory and a
     file in a missing directory."""
     base = tmp_path_factory.mktemp("fuzz")
-    return (["-", "/dev/null", str(base / "x.csv")], [str(base), str(base / "missing" / "x.csv")])
+    (base / "sub").mkdir()
+    (base / "link.csv").symlink_to(base / "x.csv")
+    files = [str(base / "x.csv"), str(base / "sub" / ".." / "x.csv"), str(base / "link.csv")]
+    return (["-", "/dev/null"] + files, [str(base), str(base / "missing" / "x.csv")])
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
@@ -106,3 +119,9 @@ def test_every_drawn_argv_exits_0_2_or_3(outputs, data):
     except SystemExit as exc:
         code = exc.code
     assert code in (0, 2, 3), args
+    files = [
+        os.path.realpath(value) for flag, value in zip(args, args[1:])
+        if flag in ("--out", "--plot-data") and value not in ("-", "/dev/null")
+    ]
+    if len(files) == 2 and files[0] == files[1]:
+        assert code == 2, args

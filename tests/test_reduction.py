@@ -11,7 +11,7 @@ import onticsim.reduction
 from onticsim.bitstate import OnticVector, complement, random_ontic
 from onticsim.errors import ConfigError, DimensionCap, NumericViolation, TrivialSubsystem
 from onticsim.indexing import FactorizationShape, SubsystemMask
-from onticsim.reduction import _bipartite_stack, purity, reduced_density
+from onticsim.reduction import _bipartite_stack, _gram_stack, purity, reduced_density
 from onticsim.states import PureState, state_from_ontic
 
 
@@ -248,6 +248,30 @@ def phased(stack, seed):
     # genuinely complex
     rng = np.random.default_rng(seed)
     return stack * np.exp(2j * np.pi * rng.random(stack.shape))
+
+
+class TestGramStack:
+    @pytest.mark.parametrize(
+        "text, positions",
+        [("2^6", [0, 2, 5]), ("2x2x2x100", [0, 1, 2]), ("2^10", [0, 1, 3, 4, 6, 9])],
+        # 8 x 8; an 8-dim side against 100; a 64-dim side against 16, the
+        # 4:1 of a 2^12 sweep's 128 x 32 hubs
+        ids=["square", "narrow", "hub-like"],
+    )
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("complex_amps", [False, True], ids=["real", "complex"])
+    def test_matches_bruteforce_per_state(self, text, positions, count, complex_amps):
+        shape = FactorizationShape.parse(text)
+        mask = SubsystemMask.from_positions(shape, positions)
+        stack = ontic_stack(shape, count, seed=len(text) + count)
+        if complex_amps:
+            stack = phased(stack, seed=count)
+        rho = _gram_stack(stack, mask)
+        assert rho.dtype == stack.dtype
+        assert rho.shape == (count, mask.dim, mask.dim)
+        for row, amps in enumerate(stack):
+            want = reduced_density_bruteforce(amps, shape.dims, mask.positions)
+            assert np.abs(rho[row] - want).max() <= 1e-13
 
 
 class TestStackedPurity:
