@@ -37,6 +37,7 @@ from .experiment import (
 from .indexing import (
     FactorizationShape,
     SubsystemMask,
+    check_points,
     natural_state_lower_bound,
     orthant_sphere_area,
 )
@@ -140,7 +141,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.plot_data:
         _write_output(args.plot_data, plot_data_text(result, config))
     if args.summary:
-        summary = summarize_by_size(result)
+        summary = summarize_by_size(result, shape)
         print(f"# max_complement_asymmetry={summary.max_complement_asymmetry:.3e}",
               file=sys.stderr)
         print("size count min mean max std state_mean_std", file=sys.stderr)
@@ -157,6 +158,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     _check_outputs(args.out)
     if args.t_max < 0:
         raise ConfigError(f"--t-max must be >= 0, got {args.t_max}")
+    check_points(args.t_max + 1, "a time series")
     shape = FactorizationShape.parse(args.shape)
     g = Permutation.parse(shape.total, args.generator)
     mask = SubsystemMask.parse(shape, args.mask)

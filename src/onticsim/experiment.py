@@ -142,20 +142,16 @@ class SweepResult:
     the ``j``-th mask in enumeration order (by size, then value).
 
     ``masks`` and ``sizes`` are the ``(M,)`` mask values and popcounts;
-    ``purity`` and ``s2_bits`` are ``(S, M)``.  ``source[j]`` is the column
-    the kernel computed column ``j``'s purity in: ``j`` itself, or the
-    column of its complement, enumerated earlier or later, when the kernel
-    computes the pair on the complement's side.  The arrays are read-only.
+    ``purity`` and ``s2_bits`` are ``(S, M)``.  The arrays are read-only.
     """
 
     masks: np.ndarray
     sizes: np.ndarray
     purity: np.ndarray
     s2_bits: np.ndarray
-    source: np.ndarray
 
     def __post_init__(self) -> None:
-        for values in (self.masks, self.sizes, self.purity, self.s2_bits, self.source):
+        for values in (self.masks, self.sizes, self.purity, self.s2_bits):
             values.setflags(write=False)
 
 
@@ -225,13 +221,12 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     # float64 in the ontic basis, complex128 in the energy basis; the states
     # are built one at a time and only their stack outlives this line
     stack = np.stack([psi.amps for psi in states])
-    purities, source = sweep_purities(stack, config.shape, masks)
+    purities = sweep_purities(stack, config.shape, masks)
     return SweepResult(
         masks=np.array(masks),
         sizes=np.array([mask.bit_count() for mask in masks]),
         purity=purities,
         s2_bits=collision_entropy(purities),
-        source=source,
     )
 
 
@@ -254,16 +249,21 @@ class SweepSummary:
     max_complement_asymmetry: float
 
 
-def summarize_by_size(result: SweepResult) -> SweepSummary:
-    """Per-size statistics plus the largest entropy difference between any
-    subsystem and its complement."""
+def summarize_by_size(result: SweepResult, shape: FactorizationShape) -> SweepSummary:
+    """Per-size statistics plus the largest entropy difference between a
+    mask ``m`` and its complement ``full ^ m`` in ``shape``, over the pairs
+    with both masks in the sweep."""
     s2 = result.s2_bits
     if s2.size == 0:
         raise EmptyInput("no sweep results to summarize")
-    copies = np.flatnonzero(result.source != np.arange(result.source.size))
+    full = (1 << shape.k) - 1
+    column = {m: j for j, m in enumerate(result.masks.tolist())}
+    # each pair once, from its first enumerated side
+    pairs = [(j, column[full ^ m]) for m, j in column.items() if column.get(full ^ m, -1) > j]
     asym = 0.0
-    if copies.size:
-        asym = float(np.abs(s2[:, copies] - s2[:, result.source[copies]]).max())
+    if pairs:
+        first, second = np.array(pairs).T
+        asym = float(np.abs(s2[:, first] - s2[:, second]).max())
 
     rows = []
     for a in sorted(set(result.sizes.tolist())):
@@ -470,7 +470,7 @@ def sweep_csv(result: SweepResult, config: SweepConfig) -> Iterator[str]:
 def plot_data_text(result: SweepResult, config: SweepConfig) -> Iterator[str]:
     """Text blocks of the companion per-size envelope of a sweep plus a
     tool-neutral recipe for reproducing the standard figure layout."""
-    summary = summarize_by_size(result)
+    summary = summarize_by_size(result, config.shape)
     comments = _metadata(config) + [
         "figure recipe: x = subsets of the sweep CSV in row order",
         "  (grouped by subset_size, then mask); y = s2_bits; draw one",

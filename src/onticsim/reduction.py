@@ -135,29 +135,23 @@ def _dim_lookup(shape: FactorizationShape) -> Callable[[int], int]:
 
 
 def _plan(shape: FactorizationShape, masks: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The ``source`` array and the walk of ``sweep_purities``, from the
-    shape and the masks alone: the depth-first visit order as the rows
-    (mask, depth, column) of a (W, 3) int64 array.  A step at depth 0 is a
-    Gram product, of a hub (column -1) or of a root no hub serves; a step
-    at depth i > 0 is traced out of the last earlier step at depth i - 1."""
+    """The (M,) column each mask's purities are read from and the walk of
+    ``sweep_purities``, from the shape and the masks alone.  The walk is
+    the depth-first visit order as the rows (mask, depth, column) of a
+    (W, 3) int64 array.  A step at depth 0 is a Gram product, of a hub
+    (column -1) or of a root no hub serves; a step at depth i > 0 is traced
+    out of the last earlier step at depth i - 1."""
     dim_of = _dim_lookup(shape)
-    # node -> the column its purities go to: its own when enumerated,
-    # else its complement's
+    # node -> the column its purities go to: the first enumerated of its pair
     column: dict[int, int] = {}
-    source = np.arange(len(masks), dtype=np.int64)
+    source = np.empty(len(masks), dtype=np.int64)
     for j, m in enumerate(masks):
         node, dim = _side(m, dim_of(m), shape)
         if dim > GRAM_DIM_CAP:
             raise ConfigError(
                 f"mask 0b{m:b} needs a {dim}-dim Gram matrix, over the budget {GRAM_DIM_CAP}"
             )
-        other = column.setdefault(node, j)
-        if other != j:
-            if node == m:
-                # the node comes after its complement, which copies it
-                column[node] = source[other] = j
-            else:
-                source[j] = other
+        source[j] = column.setdefault(node, j)
 
     parent: dict[int, int | None] = {m: m | (m + 1) for m in column}
     roots = [m for m, p in parent.items() if p not in column]
@@ -203,15 +197,13 @@ def _plan(shape: FactorizationShape, masks: list[int]) -> tuple[np.ndarray, np.n
 
 def sweep_purities(
     stack: np.ndarray, shape: FactorizationShape, masks: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """The (S, M) purities of the proper masks ``masks`` (distinct ints)
-    for an (S, N) amplitude stack, and the (M,) column ``source`` that
-    each purity was computed in.
+    for an (S, N) amplitude stack.
 
     A pure state gives a subsystem and its complement the same purity, so
     each complement pair is computed once, on its node, the side ``_side``
-    picks.  ``source[j]`` is the column of the node of mask j's pair when
-    the node is among the masks, and j itself otherwise.  The first mask
+    picks, and both columns of the pair are read from it.  The first mask
     whose node has a dimension over ``GRAM_DIM_CAP`` raises ConfigError
     before any Gram product is formed.
 
@@ -246,7 +238,7 @@ def sweep_purities(
     written = walk[walk[:, 2] >= 0]
     nodes = written[:, 0].tolist()
     _check_range(out[:, written[:, 2]], nodes, [dim_of(m) for m in nodes])
-    return out[:, source], source
+    return out[:, source]
 
 
 def reduced_density(psi: PureState, mask: SubsystemMask) -> DensityMatrix:

@@ -368,6 +368,44 @@ class TestEvolve:
         assert out == ""
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "t_max, wrap",
+        [("99999999999999999999", ["--allow-wrap"]), (str(POINT_CAP), [])],
+        ids=["1e20-wrap", "cap"],
+    )
+    def test_t_max_no_array_can_index_exits_2_before_the_run(
+        self, capsys, monkeypatch, t_max, wrap
+    ):
+        calls = []
+        monkeypatch.setattr(
+            onticsim.cli, "run_time_series", lambda *args, **kwargs: calls.append(args)
+        )
+        code, out, err = run_cli(
+            capsys,
+            "evolve", "--shape", "2x2", "--generator", "(0 1 2 3)",
+            "--mask", "1", "--t-max", t_max, *wrap,
+        )
+        assert (code, out, calls) == (2, "", [])
+        assert err == (
+            f"error: a time series of more than {POINT_CAP} points: no array can index that many\n"
+        )
+
+    def test_t_max_of_cap_points_reaches_the_run(self, capsys, monkeypatch):
+        # t = 0..POINT_CAP - 1 is POINT_CAP points, the most the cap allows
+        lengths = []
+
+        def spy(shape, q, g, mask, t_range, allow_wrap=False):
+            lengths.append(len(t_range))
+            return []
+
+        monkeypatch.setattr(onticsim.cli, "run_time_series", spy)
+        code, _, _ = run_cli(
+            capsys,
+            "evolve", "--shape", "2x2", "--generator", "(0 1 2 3)",
+            "--mask", "1", "--t-max", str(POINT_CAP - 1), "--allow-wrap", "--out", os.devnull,
+        )
+        assert (code, lengths) == (0, [POINT_CAP])
+
     def test_out_of_range_purity_exits_3(self, capsys, monkeypatch):
         kernel = onticsim.reduction._gram_stack
         monkeypatch.setattr(

@@ -75,7 +75,7 @@ def columns(result):
 
 
 def assert_same_result(a, b):
-    for field in ("masks", "sizes", "purity", "s2_bits", "source"):
+    for field in ("masks", "sizes", "purity", "s2_bits"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
@@ -482,26 +482,6 @@ class TestRunSweep:
         assert len(written) == len(unpaired) + len(pairs)
         assert grams and calls == []
 
-    @pytest.mark.parametrize(
-        "dims, samples", [((2,) * 6, None), ((2, 3, 2, 3, 2), None), ((2,) * 8, 5)]
-    )
-    def test_source_names_the_computed_side_of_each_pair(self, monkeypatch, dims, samples):
-        shape = FactorizationShape(dims)
-        result = run_sweep(
-            SweepConfig(shape=shape, num_states=2, seed=19, samples_per_size=samples)
-        )
-        masks = result.masks.tolist()
-        written = written_nodes(shape, masks)
-        column = columns(result)
-        expected = [column.get(node_of(m, shape), j) for j, m in enumerate(masks)]
-        assert result.source.tolist() == expected
-        assert expected != list(range(len(masks)))
-        if samples is None:
-            # some copies read a column enumerated later than their own
-            assert any(expected[j] > j for j in range(len(masks)))
-        assert sorted(written) == sorted({node_of(m, shape) for m in masks})
-        assert not result.source.flags.writeable
-
     @pytest.mark.parametrize("dims", [(2, 3, 2, 3, 2), (2,) * 6])
     @pytest.mark.parametrize("basis", ["ontic", "energy"])
     def test_rows_match_direct_purity(self, dims, basis):
@@ -681,14 +661,14 @@ class TestLattice:
         source, _ = onticsim.reduction._plan(shape, masks)
         steps = walk_of(shape, masks)
         nodes = {node_of(m, shape) for m in masks}
-        # each pair computed once, on its node, in the node's own column
-        # when the node is enumerated and its complement's otherwise
+        # each pair computed once, on its node, in the column of the side
+        # of the pair enumerated first
         column = {m: c for m, _, c, _ in steps if c >= 0}
         assert len(column) == sum(c >= 0 for _, _, c, _ in steps)
         assert set(column) == nodes
         full = (1 << shape.k) - 1
         for node, c in column.items():
-            assert masks[c] == (node if node in set(masks) else full ^ node)
+            assert c == min(j for j, m in enumerate(masks) if m in (node, full ^ node))
         assert source.tolist() == [column[node_of(m, shape)] for m in masks]
         hubs = {}
         for mask, depth, c, up in steps:
@@ -755,6 +735,17 @@ class TestLattice:
             j = masks.index(mask)
             assert np.abs(result.purity[:, j] - direct).max() < 1e-12, mask
 
+    @pytest.mark.parametrize("basis", ["ontic", "energy"])
+    def test_sweep_purities_returns_the_result_purities(self, basis):
+        shape = FactorizationShape.parse("2x3x2x3x2")
+        generator = random_permutation(shape.total, seed=43) if basis == "energy" else None
+        config = SweepConfig(shape=shape, num_states=3, seed=43, generator=generator)
+        result = run_sweep(config)
+        purities = sweep_purities(sweep_stack(config), shape, result.masks.tolist())
+        assert isinstance(purities, np.ndarray) and purities.dtype == np.float64
+        assert purities.shape == (3, result.masks.size)
+        assert np.array_equal(purities, result.purity)
+
     def test_one_chain_of_reduced_matrices_alive(self):
         shape = FactorizationShape((2,) * 14)
         config = SweepConfig(shape=shape, num_states=1, seed=3)
@@ -762,7 +753,7 @@ class TestLattice:
         masks = _enumerate_masks(config, random.Random(0))
         tracemalloc.start()
         try:
-            purities, _ = sweep_purities(stack, shape, masks)
+            purities = sweep_purities(stack, shape, masks)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -864,7 +855,7 @@ class TestFactorizationIdentities:
         masks = [
             sum(1 << i for i, p in enumerate(sigma) if m >> p & 1) for m in result.masks.tolist()
         ]
-        purities, _ = sweep_purities(moved_stack, moved, masks)
+        purities = sweep_purities(moved_stack, moved, masks)
         assert np.abs(purities - result.purity).max() < 1e-13
 
 
@@ -872,7 +863,7 @@ class TestSummaries:
     def test_symmetric_sizes_agree(self):
         shape = FactorizationShape((2,) * 6)
         result = run_sweep(SweepConfig(shape=shape, num_states=3, seed=12))
-        summary = summarize_by_size(result)
+        summary = summarize_by_size(result, shape)
         rows = {row.size: row for row in summary.by_size}
         for a in (1, 2):
             assert rows[a].mean_s2 == pytest.approx(rows[6 - a].mean_s2, abs=1e-11)
@@ -884,10 +875,9 @@ class TestSummaries:
         config = SweepConfig(shape=shape, ontic_vectors=(bs("1000"),), subset_sizes=(1,))
         result = run_sweep(config)
         first = SweepResult(
-            result.masks[:1], result.sizes[:1], result.purity[:, :1], result.s2_bits[:, :1],
-            source=result.source[:1],
+            result.masks[:1], result.sizes[:1], result.purity[:, :1], result.s2_bits[:, :1]
         )
-        summary = summarize_by_size(first)
+        summary = summarize_by_size(first, shape)
         assert len(summary.by_size) == 1
         row = summary.by_size[0]
         assert row.count == 1
@@ -897,16 +887,16 @@ class TestSummaries:
     def test_empty_input(self):
         empty = SweepResult(
             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-            np.empty((1, 0)), np.empty((1, 0)), source=np.empty(0, dtype=np.int64),
+            np.empty((1, 0)), np.empty((1, 0)),
         )
         with pytest.raises(EmptyInput):
-            summarize_by_size(empty)
+            summarize_by_size(empty, FactorizationShape((2, 2)))
 
     def test_asymmetry_reported(self):
         shape = FactorizationShape((2, 2, 2))
         config = SweepConfig(shape=shape, num_states=2, seed=13)
         result = run_sweep(config)
-        assert summarize_by_size(result).max_complement_asymmetry < 1e-12
+        assert summarize_by_size(result, shape).max_complement_asymmetry < 1e-12
         # the copied columns replaced by the purity on their own layout: the
         # summary then compares two separately computed sides
         stack = sweep_stack(config)
@@ -918,7 +908,7 @@ class TestSummaries:
         s2 = np.array([[collision_entropy(p) for p in row] for row in own.tolist()])
         separate = dataclasses.replace(result, purity=own, s2_bits=s2)
         assert own.shape == (2, 6) and len(copied) == 3
-        assert summarize_by_size(separate).max_complement_asymmetry < 1e-12
+        assert summarize_by_size(separate, shape).max_complement_asymmetry < 1e-12
 
     def test_asymmetry_reads_a_raised_copied_column(self):
         shape = FactorizationShape((2,) * 6)
@@ -927,7 +917,34 @@ class TestSummaries:
         s2 = result.s2_bits.copy()
         s2[:, columns(result)[comp]] += 0.5
         raised = dataclasses.replace(result, s2_bits=s2)
-        assert summarize_by_size(raised).max_complement_asymmetry == pytest.approx(0.5, abs=1e-12)
+        asym = summarize_by_size(raised, shape).max_complement_asymmetry
+        assert asym == pytest.approx(0.5, abs=1e-12)
+
+    def test_asymmetry_reads_a_raised_first_column(self):
+        # the side of each pair the sweep enumerates first, which the kernel
+        # writes and the other side is read from, raised one pair at a time
+        shape = FactorizationShape((2,) * 6)
+        result = run_sweep(SweepConfig(shape=shape, num_states=2, seed=25))
+        pairs = copied_sides(result, 6)
+        assert len(pairs) == 31
+        for first, _ in pairs:
+            s2 = result.s2_bits.copy()
+            s2[:, columns(result)[first]] += 0.5
+            raised = dataclasses.replace(result, s2_bits=s2)
+            asym = summarize_by_size(raised, shape).max_complement_asymmetry
+            assert asym == pytest.approx(0.5, abs=1e-12), first
+
+    def test_asymmetry_without_complement_pairs_reads_0(self):
+        # sizes=1 of 2^6 holds no mask's complement: even a raised column
+        # is compared with nothing
+        shape = FactorizationShape((2,) * 6)
+        result = run_sweep(SweepConfig(shape=shape, num_states=2, seed=25, subset_sizes=(1,)))
+        assert copied_sides(result, 6) == []
+        s2 = result.s2_bits.copy()
+        s2[:, 0] += 0.5
+        raised = dataclasses.replace(result, s2_bits=s2)
+        assert summarize_by_size(result, shape).max_complement_asymmetry == 0.0
+        assert summarize_by_size(raised, shape).max_complement_asymmetry == 0.0
 
 
 class TestCsvOutput:
@@ -1003,7 +1020,6 @@ def synthetic_result(num_states, k):
         sizes=np.array([m.bit_count() for m in masks.tolist()]),
         purity=purities,
         s2_bits=collision_entropy(purities),
-        source=np.arange(masks.size),
     )
 
 
