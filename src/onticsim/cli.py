@@ -6,9 +6,10 @@ statistics of random permutations), ``overlap`` (state overlap of two bit
 patterns), ``area`` (orthant sphere area and the state-count lower bound).
 
 Exit codes: 0 success, 2 configuration error, an output that cannot be
-opened or written (a directory, a file in a missing directory, or two
-outputs naming one file, is rejected before the run), or a run that does
-not fit in memory, 3 numeric-invariant violation.  A stdout closed by
+opened or written (an empty path, a directory, a file in a missing
+directory, two outputs naming one file, or a named output that is the
+regular file stdout writes to, is rejected before the run), or a run that
+does not fit in memory, 3 numeric-invariant violation.  A stdout closed by
 its reader (``| head``) ends the run silently with exit 1, as Python's
 own SIGPIPE handling does.
 """
@@ -19,6 +20,7 @@ import argparse
 import errno
 import math
 import os
+import stat
 import sys
 from collections.abc import Iterable
 
@@ -46,20 +48,25 @@ from .permrep import Permutation
 
 def _check_outputs(*paths: str | None) -> None:
     """Raise the OSError that opening an output would raise for a path
-    that is a directory or lies in a missing directory, before any work is
-    done and without opening or truncating anything; ConfigError for two
-    paths that name one file, which the second write would truncate.
-    Stdout (None or "-") passes, and so does the null device."""
+    that is empty, is a directory or lies in a missing directory, before
+    any work is done and without opening or truncating anything;
+    ConfigError for two paths that name one file, which the second write
+    would truncate, and for a path naming the regular file stdout writes to
+    when stdout (None or "-") is also an output.  Stdout may be given
+    twice, and so may the null device."""
+    stdout = _stdout_file() if any(path in (None, "-") for path in paths) else None
     files: list[str] = []
     for path in paths:
         if path in (None, "-"):
             continue
+        if not path or not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
         if path == os.devnull:
             continue
+        if stdout is not None and os.path.exists(path) and os.path.samestat(stdout, os.stat(path)):
+            raise ConfigError(f"output {path!r} is the file stdout writes to")
         for other in files:
             if (
                 os.path.samefile(other, path)
@@ -68,6 +75,18 @@ def _check_outputs(*paths: str | None) -> None:
             ):
                 raise ConfigError(f"outputs {other!r} and {path!r} name the same file")
         files.append(path)
+
+
+def _stdout_file() -> os.stat_result | None:
+    """The stat of stdout when it is a regular file, which a named output
+    opened for writing would truncate; None for a pipe, a terminal or a
+    stream with no file descriptor."""
+    try:
+        st = os.fstat(sys.stdout.fileno())
+    except OSError:
+        # io.UnsupportedOperation: a stream in memory, as under capture
+        return None
+    return st if stat.S_ISREG(st.st_mode) else None
 
 
 def _write_output(path: str | None, blocks: Iterable[str]) -> None:

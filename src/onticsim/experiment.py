@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .bitstate import OnticVector, random_ontic
 from .entropy import collision_entropy
-from .errors import ConfigError, EmptyInput, NumericViolation, SizeMismatch
+from .errors import ConfigError, EmptyInput, InvalidCycle, NumericViolation, SizeMismatch
 from .indexing import FactorizationShape, SubsystemMask, check_points
 from .permrep import Permutation, energy_basis
 from .reduction import _squared_norms, purity, sweep_purities
@@ -301,11 +301,11 @@ def run_time_series(
     Times outside one period [0, order) are rejected unless ``allow_wrap``
     is set, in which case they fold modulo the order.  The evolved states
     are built ``BATCH_POINTS`` points at a time, each one gather of the
-    state at the time listed before it (one index array per distinct
-    step), and each block is norm-checked and reduced by one ``purity``
-    call.  Each index array is checked to read only the N points before
-    its first gather, and to be a bijection after the norm check of the
-    block it is first used in.
+    state at the time listed before it, and each block is norm-checked and
+    reduced by one ``purity`` call.  One index array is held at a time, that
+    of the last step made: whenever a row's step differs from it, the array
+    of the new step is made and checked to be a bijection of the N points,
+    as a ``Permutation``, before its first gather.
     """
     if g.n != shape.total:
         raise SizeMismatch(f"generator size {g.n} != shape total {shape.total}")
@@ -321,24 +321,26 @@ def run_time_series(
             )
     prev, t_prev = state_from_ontic(q, shape).amps, 0
     rows = max(1, BATCH_POINTS // shape.total)
-    # step (mod the order) -> index array of the state at t from the one
-    # at t - step: amplitude j comes from point g**-step(j)
-    gathers: dict[int, np.ndarray] = {}
+    # the last step made (mod the order) and its index array, which takes
+    # the state at t from the one at t - step: amplitude j comes from point
+    # g**-step(j)
+    made, gather = None, None
     purities = [np.empty(0)]
     for start in range(0, len(ts), rows):
         times = ts[start : start + rows]
         block = np.empty((len(times), shape.total), prev.dtype)
-        fresh = []
         for row, t in zip(block, times):
             step = (t - t_prev) % g.order
-            if step not in gathers:
-                gathers[step] = images = g.power_images(-step)
-                if images.min() < 0 or images.max() >= shape.total:
+            if step != made:
+                try:
+                    gather = Permutation(g.power_images(-step)).images
+                except InvalidCycle:
                     raise NumericViolation(
-                        f"the index array of step {step} reads outside the {shape.total} points"
-                    )
-                fresh.append(step)
-            prev.take(gathers[step], out=row)
+                        f"the index array of step {step} is not a bijection "
+                        f"of the {shape.total} points"
+                    ) from None
+                made = step
+            prev.take(gather, out=row)
             prev, t_prev = row, t
         # checked as Python floats: numpy's per-call cost would dominate
         for t, square in zip(times, _squared_norms(block).tolist()):
@@ -346,14 +348,6 @@ def run_time_series(
             if not abs(norm - 1.0) <= NORM_TOLERANCE:
                 raise NumericViolation(
                     f"state norm {norm!r} at t={t} is not 1 within {NORM_TOLERANCE}"
-                )
-        # a gather that reads a point twice keeps every norm when all
-        # amplitudes share one magnitude (w = N/2), so each new index array
-        # is also counted: a bijection reads each of the N points once
-        for step in fresh:
-            if np.bincount(gathers[step], minlength=shape.total).max() != 1:
-                raise NumericViolation(
-                    f"the index array of step {step} is not a bijection of the {shape.total} points"
                 )
         purities.append(purity(block, mask))
     s2 = collision_entropy(np.concatenate(purities))

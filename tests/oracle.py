@@ -1,7 +1,9 @@
 """References that share no code with onticsim, from plain ints and numpy
-arrays: subsystem purities and partial traces, dense permutation and
-energy-basis matrices, and powers of a permutation."""
+arrays: subsystem purities and partial traces, the exact expected purity
+of fixed-weight states, dense permutation and energy-basis matrices, and
+powers of a permutation."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -66,6 +68,34 @@ def exact_purity(bits, dims, positions):
     u = arrange([n * b - w for b in bits], dims, positions)
     gram = sum(sum(x * y for x, y in zip(a, b)) ** 2 for a in u for b in u)
     return Fraction(gram, (n * w * (n - w)) ** 2)
+
+
+def expected_fixed_weight_purity(n, w, d_a):
+    """E[tr(rho_A**2)] as an exact Fraction over the states of every w-subset
+    of n points, A of dimension d_a.  With u = n*q - w, ||u||**2 =
+    n*w*(n - w) is fixed, and tr(rho_A**2) ||u||**4 is the sum of
+    u[a,b] u[a',b] u[a,b'] u[a',b'] over a, a' < d_a and b, b' < d_b: its
+    terms fall on one, two or four distinct points, whose expectations are
+    the hypergeometric moments m4, m22 and m1111 of u."""
+    d_b = n // d_a
+
+    def moment(powers):
+        # E[prod of u_i**p] over distinct points i: each 0/1 pattern of
+        # them, weighted by the w-subsets that hold it
+        total = 0
+        for bits in itertools.product((0, 1), repeat=len(powers)):
+            ones = sum(bits)
+            if ones <= w and w - ones <= n - len(powers):
+                value = math.prod((n - w if b else -w) ** p for b, p in zip(bits, powers))
+                total += value * math.comb(n - len(powers), w - ones)
+        return Fraction(total, math.comb(n, w))
+
+    terms = (
+        d_a * d_b * moment([4])
+        + (d_a * d_b * (d_b - 1) + d_a * (d_a - 1) * d_b) * moment([2, 2])
+        + d_a * (d_a - 1) * d_b * (d_b - 1) * moment([1, 1, 1, 1])
+    )
+    return terms / (n * w * (n - w)) ** 2
 
 
 def permutation_matrix(images):

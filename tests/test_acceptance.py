@@ -6,6 +6,7 @@ flagship sweep (4096-dimensional space, 12 two-level factors, 10 random
 states, all 4094 proper subsystems) is computed once and shared.
 """
 
+import itertools
 import math
 import random
 import time
@@ -15,6 +16,8 @@ import numpy as np
 import pytest
 from oracle import (
     energy_matrix,
+    exact_purity,
+    expected_fixed_weight_purity,
     oracle_purities,
     permutation_matrix,
     purity_from_density,
@@ -140,6 +143,53 @@ def test_criterion_03_weak_state_dependence(full_sweep):
         "3 weak state dependence",
         worst < 0.1,
         f"max over |A| of std of per-state means = {worst:.5f} bits, tol 0.1",
+    )
+
+
+@pytest.mark.parametrize(
+    "dims, w, positions",
+    [((2, 2, 2), 3, [0]), ((2, 3, 2), 5, [1]), ((2, 2, 2, 2), 6, [0, 2]), ((3, 2, 2), 4, [0, 1])],
+)
+def test_fixed_weight_formula_is_the_mean_over_every_subset(dims, w, positions):
+    n = math.prod(dims)
+    total, count = Fraction(0), 0
+    for subset in itertools.combinations(range(n), w):
+        bits = [0] * n
+        for i in subset:
+            bits[i] = 1
+        total += exact_purity(bits, dims, positions)
+        count += 1
+    d_a = math.prod(dims[p] for p in positions)
+    assert total / count == expected_fixed_weight_purity(n, w, d_a)
+
+
+def test_criterion_11_fixed_weight_expected_purity():
+    # Fixed-weight states have an exact expected purity, measurably below
+    # Lubkin's Haar average.  The masks of one state are correlated, so the
+    # standard error is taken across the states' own means.
+    config = SweepConfig(
+        shape=FactorizationShape.parse("2^10"), num_states=200, seed=1, density=0.3,
+        subset_sizes=(1, 3, 5),
+    )
+    result = run_sweep(config)
+    n, w = config.shape.total, config.state_weight()
+    assert w == 307
+    worst, details = 0.0, []
+    for size in config.subset_sizes:
+        d_a, d_b = 2**size, n // 2**size
+        means = result.purity[:, result.sizes == size].mean(axis=1)
+        exact = float(expected_fixed_weight_purity(n, w, d_a))
+        z = (float(means.mean()) - exact) / (float(means.std(ddof=1)) / math.sqrt(means.size))
+        worst = max(worst, abs(z))
+        haar = (d_a + d_b) / (d_a * d_b + 1)
+        details.append(
+            f"|A|={size}: mean {means.mean():.6f}, exact {exact:.6f}, Haar {haar:.6f}, "
+            f"z {z:+.2f}"
+        )
+    report(
+        "11 fixed-weight expected purity",
+        worst <= 4.0,
+        "; ".join(details) + f"; tol 4 standard errors over {means.size} states",
     )
 
 

@@ -523,6 +523,16 @@ def test_size_no_array_can_index_exits_2(argv, what, capsys):
     )
 
 
+def unwritable_path(target, tmp_path):
+    """An output path that opening for writing fails on: a file in a
+    missing directory, a directory, or the empty path."""
+    return {
+        "missing-directory": tmp_path / "missing" / "x.csv",
+        "directory": tmp_path,
+        "empty": "",
+    }[target]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -532,9 +542,9 @@ def test_size_no_array_can_index_exits_2(argv, what, capsys):
     ],
     ids=lambda argv: argv[0],
 )
-@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory", "empty"])
 def test_unwritable_out_exits_2(argv, target, tmp_path, capsys):
-    path = tmp_path / "missing" / "x.csv" if target == "missing-directory" else tmp_path
+    path = unwritable_path(target, tmp_path)
     code, out, err = run_cli(capsys, *argv, "--out", str(path))
     assert code == 2
     assert out == ""
@@ -542,7 +552,7 @@ def test_unwritable_out_exits_2(argv, target, tmp_path, capsys):
     assert str(path) in err
 
 
-@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory", "empty"])
 @pytest.mark.parametrize(
     "run, argv",
     [
@@ -557,7 +567,7 @@ def test_unwritable_out_exits_2(argv, target, tmp_path, capsys):
 def test_unwritable_output_exits_2_before_the_run(run, argv, target, tmp_path, capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(onticsim.cli, run, lambda *args, **kwargs: calls.append(args))
-    path = tmp_path / "missing" / "x.csv" if target == "missing-directory" else tmp_path
+    path = unwritable_path(target, tmp_path)
     code, out, err = run_cli(capsys, *argv, str(path))
     assert (code, out, calls) == (2, "", [])
     assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
@@ -624,6 +634,37 @@ def test_stdout_and_null_device_may_be_given_twice(path, capsys):
     )
     assert code == 0
     assert ("0,1,1,1,0\n" in out) == (path == "-")
+
+
+@pytest.mark.parametrize(
+    "outputs",
+    [
+        ["--plot-data", "{file}"],
+        ["--out", "{file}", "--plot-data", "-"],
+        ["--plot-data", "/dev/stdout"],
+    ],
+    ids=["csv-to-stdout", "plot-data-to-stdout", "dev-stdout"],
+)
+def test_named_output_that_is_stdout_exits_2_before_the_run(outputs, tmp_path):
+    # stdout appends to a file that already holds bytes: a named output
+    # opened on that file would truncate it
+    src = Path(onticsim.cli.__file__).resolve().parents[1]
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"kept\r\n\x00")
+    outputs = [arg.format(file=target) for arg in outputs]
+    with open(target, "ab") as stdout:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from onticsim.cli import main; sys.exit(main())",
+             "sweep", "--shape", "2x2", "--states", "1", *outputs],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            env={"PYTHONPATH": str(src), "PATH": ""},
+            timeout=60,
+        )
+    named = next(arg for arg in outputs if arg.startswith("/"))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: output {named!r} is the file stdout writes to\n".encode()
+    assert target.read_bytes() == b"kept\r\n\x00"
 
 
 @pytest.mark.parametrize(

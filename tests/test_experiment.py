@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -1240,12 +1241,14 @@ class TestTimeSeries:
         q = OnticVector.from_array([1] + [0] * 15)
         g = Permutation.parse(16, "(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)")
         mask = SubsystemMask.from_positions(shape, [0, 1])
-        with pytest.raises(NumericViolation, match="state norm .* at t=0 "):
+        with pytest.raises(NumericViolation, match="step 0 is not a bijection of the 16 points"):
             run_time_series(shape, q, g, mask, range(16))
         argv = ["evolve", "--shape", "2^4", "--generator", g.cycle_string(),
                 "--mask", "1,2", "--ontic", q.serialize(), "--t-max", "15"]
         assert main(argv) == 3
-        assert "numeric invariant violated: state norm" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numeric invariant violated: the index array of step 0 is not a bijection" in err
+        assert "Traceback" not in err
 
     def test_gather_outside_the_points_is_a_numeric_violation(self, monkeypatch, capsys):
         power_images = Permutation.power_images
@@ -1261,7 +1264,7 @@ class TestTimeSeries:
         q = OnticVector.from_array([1] + [0] * 15)
         g = Permutation.parse(16, "(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)")
         mask = SubsystemMask.from_positions(shape, [0, 1])
-        with pytest.raises(NumericViolation, match="step 0 reads outside the 16 points"):
+        with pytest.raises(NumericViolation, match="step 0 is not a bijection of the 16 points"):
             run_time_series(shape, q, g, mask, range(16))
         argv = ["evolve", "--shape", "2^4", "--generator", g.cycle_string(),
                 "--mask", "1,2", "--ontic", q.serialize(), "--t-max", "15"]
@@ -1291,6 +1294,88 @@ class TestTimeSeries:
                 "--mask", "1,2", "--ontic", q.serialize(), "--t-max", "15"]
         assert main(argv) == 3
         assert "is not a bijection" in capsys.readouterr().err
+
+    def test_norm_check_names_the_time(self, monkeypatch, capsys):
+        def scaled(q, shape):
+            return types.SimpleNamespace(amps=1.5 * state_from_ontic(q, shape).amps)
+
+        monkeypatch.setattr(onticsim.experiment, "state_from_ontic", scaled)
+        shape = FactorizationShape((2,) * 4)
+        q = OnticVector.from_array([1] + [0] * 15)
+        g = Permutation.parse(16, "(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)")
+        mask = SubsystemMask.from_positions(shape, [0, 1])
+        with pytest.raises(NumericViolation, match=r"state norm 1\.5 at t=0 "):
+            run_time_series(shape, q, g, mask, range(16))
+        argv = ["evolve", "--shape", "2^4", "--generator", g.cycle_string(),
+                "--mask", "1,2", "--ontic", q.serialize(), "--t-max", "15"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "numeric invariant violated: state norm 1.5 at t=0 " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "corrupt, bits",
+        [
+            # point 1 read twice and point 0 never
+            ("duplicate", [1] + [0] * 15),
+            # the last entry reads point N, one past the end
+            ("outside", [1] + [0] * 15),
+            # w = N/2: every amplitude has magnitude 1/4, so every norm stays 1
+            ("duplicate-half-weight", [1, 0] * 8),
+        ],
+        ids=["duplicate", "outside", "duplicate-half-weight"],
+    )
+    def test_corrupted_array_fails_before_its_blocks_purity_call(
+        self, monkeypatch, capsys, corrupt, bits
+    ):
+        power_images = Permutation.power_images
+
+        def corrupted(self, t):
+            # only the index array of the step 5, made as power_images(-5)
+            images = power_images(self, t)
+            if t % self.order != self.order - 5:
+                return images
+            images = images.copy()
+            if corrupt == "outside":
+                images[-1] = self.n
+            else:
+                images[images == 0] = 1
+            return images
+
+        stacks = []
+
+        def counted_purity(stack, mask):
+            stacks.append(stack.shape[0])
+            return purity(stack, mask)
+
+        monkeypatch.setattr(Permutation, "power_images", corrupted)
+        monkeypatch.setattr(onticsim.experiment, "purity", counted_purity)
+        # 3 rows a block: the step 5 comes first at t = 10, the first row of
+        # the third block, after two blocks of step 1
+        monkeypatch.setattr(onticsim.experiment, "BATCH_POINTS", 3 * 16)
+        shape = FactorizationShape((2,) * 4)
+        g = Permutation.parse(16, "(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)")
+        mask = SubsystemMask.from_positions(shape, [0, 1])
+        with pytest.raises(NumericViolation, match="step 5 is not a bijection of the 16 points"):
+            run_time_series(shape, OnticVector.from_array(bits), g, mask, [0, 1, 2, 3, 4, 5, 10])
+        assert stacks == [3, 3]
+
+    def test_index_array_memory_does_not_grow_with_distinct_steps(self):
+        shape = FactorizationShape((2,) * 12)
+        g = random_permutation(4096, seed=41)
+        mask = SubsystemMask.from_positions(shape, range(6))
+        q = random_ontic(4096, seed=42)
+        # steps 1, 2, ..., 2000: each one's index array is made once
+        ts = list(itertools.accumulate(range(1, 2001)))
+        tracemalloc.start()
+        try:
+            series = run_time_series(shape, q, g, mask, ts, allow_wrap=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(series) == 2000
+        # 2,000 index arrays of 4,096 int64 entries would take 62.5 MiB
+        assert peak <= 4 << 20, peak
 
     @pytest.mark.parametrize(
         "dims, positions",
