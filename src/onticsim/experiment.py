@@ -342,8 +342,9 @@ def run_time_series(
                 made = step
             prev.take(gather, out=row)
             prev, t_prev = row, t
-        # checked as Python floats: numpy's per-call cost would dominate
-        for t, square in zip(times, _squared_norms(block).tolist()):
+        # checked as Python floats: numpy's per-call cost would dominate; a
+        # complex block's real view holds the squares of both parts
+        for t, square in zip(times, _squared_norms(block.view(np.float64)).tolist()):
             norm = math.sqrt(square)
             if not abs(norm - 1.0) <= NORM_TOLERANCE:
                 raise NumericViolation(

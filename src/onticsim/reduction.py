@@ -6,17 +6,20 @@ big side of a bipartition: with Psi the (subsystem x complement) reshape
 of the amplitudes, tr(rho_A**2) = ||Psi Psi†||_F**2 = ||Psi† Psi||_F**2,
 so the Gram matrix is always formed on the smaller side.
 
-One kernel takes the amplitudes of S states stacked as an (S, N) array
-and runs in its dtype: float64 for the real states of the ontic basis,
-complex128 after a change to the energy basis.  ``_side`` picks the side
-of a complement pair to reduce, ``_gram_stack`` forms that side's reduced
-matrices by one transpose of the stack and one batched Gram product
-against a conjugate copy, ``_squared_norms`` reduces them to purities
-and ``_check_range`` checks them all at once.  ``purity`` (one mask of
-one PureState or of a stack; ``evolve`` passes it one stack per block of
-time steps) goes through all four, and so do the roots of
-``sweep_purities`` no hub serves, so those agree with ``purity`` to the
-last bit.
+One kernel takes the amplitudes of S states stacked as an (S, N) array,
+float64 for the real states of the ontic basis or complex128 after a
+change to the energy basis, and reduces every node to one real matrix:
+S = Re rho + Im rho.  For a real stack that is rho itself.  Re rho is
+symmetric and Im rho antisymmetric, so the two are orthogonal and
+||S||_F**2 = ||rho||_F**2 = tr(rho**2); a partial trace is real-linear
+and keeps both symmetries, so tracing S gives the S of the traced node.
+``_side`` picks the side of a complement pair to reduce, ``_gram_stack``
+forms that side's matrices by one transpose of the stack and one batched
+real Gram product, ``_squared_norms`` reduces them to purities and
+``_check_range`` checks them all at once.  ``purity`` (one mask of one
+PureState or of a stack; ``evolve`` passes it one stack per block of time
+steps) goes through all four, and so do the roots of ``sweep_purities``
+no hub serves, so those agree with ``purity`` to the last bit.
 
 ``sweep_purities`` holds each complement pair of a sweep once and orders
 those subsystems in a tree: the parent of a subsystem adds its lowest
@@ -26,7 +29,8 @@ traced out.  ``_plan`` covers the roots greedily with hubs, subsystems
 outside the sweep one position larger, each formed by one Gram product
 for several roots that are then one partial trace of it; a hub is kept
 only if its Gram product costs no more flops than the roots' own.  One
-flat loop runs the tree's depth-first walk.
+flat loop runs the tree's depth-first walk in buffers allocated before
+it: one float64 buffer per depth, and two stack-sized work buffers.
 """
 
 from __future__ import annotations
@@ -60,25 +64,27 @@ def _check_pair(psi: PureState, mask: SubsystemMask) -> None:
     _check_proper(mask)
 
 
-def _bipartite_stack(stack: np.ndarray, mask: SubsystemMask) -> np.ndarray:
+def _bipartite_stack(
+    stack: np.ndarray, mask: SubsystemMask, out: np.ndarray | None = None
+) -> np.ndarray:
     """One contiguous (S, subsystem dim, complement dim) copy of an (S, N)
-    amplitude stack: each state's tensor transposed to the mask's positions
-    followed by the complement's, both ascending."""
+    amplitude stack, written into ``out`` (contiguous, of the stack's size
+    and dtype) if given: each state's tensor transposed to the mask's
+    positions followed by the complement's, both ascending."""
     s = stack.shape[0]
     # stack axis 1 + p holds factor position p
     axes = [0] + [1 + p for p in mask.positions]
     axes += [1 + p for p in range(mask.shape.k) if not mask.mask >> p & 1]
     tensor = stack.reshape((s,) + mask.shape.dims).transpose(axes)
-    return np.ascontiguousarray(tensor).reshape(s, mask.dim, -1)
+    mats = np.empty_like(stack) if out is None else out
+    np.copyto(mats.reshape(tensor.shape), tensor)
+    return mats.reshape(s, mask.dim, -1)
 
 
 def _squared_norms(rows: np.ndarray) -> np.ndarray:
-    """The squared norm of each array of a stack: a state's, or tr(rho**2)
-    of a Hermitian matrix."""
+    """The squared norm of each array of a real stack: a state's, or the
+    purity ||S||_F**2 of a node's matrices."""
     flat = rows.reshape(len(rows), -1)
-    if flat.dtype.kind == "c":
-        # sum |z|**2 as the squares of the real and imaginary parts
-        flat = flat.view(flat.real.dtype)
     return np.einsum("ij,ij->i", flat, flat)
 
 
@@ -96,14 +102,35 @@ def _check_range(purities: np.ndarray, masks: list[int], dims: list[int]) -> Non
         )
 
 
-def _gram_stack(stack: np.ndarray, mask: SubsystemMask) -> np.ndarray:
-    """The (S, d, d) reduced matrices Psi Psi† of the mask's side, one
-    batched Gram product of the stack against a conjugate copy of it."""
-    mats = _bipartite_stack(stack, mask)
-    # np.conjugate always allocates: a separate second buffer sends real
-    # and complex stacks alike to gemm, not to numpy's syrk path for one
-    # buffer times its own transpose
-    return mats @ np.conjugate(mats).transpose(0, 2, 1)
+def _gram_stack(
+    stack: np.ndarray,
+    mask: SubsystemMask,
+    buffers: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """The (S, d, d) float64 matrices S = Re rho + Im rho of the mask's
+    side, rho = Psi Psi†, by one batched real Gram product.  ``buffers``
+    is (work, out), new ones if not given: a (2, S, N) work array of the
+    stack's dtype holding the stack's transpose Psi and the product's left
+    factor, a separate buffer, so the product runs as gemm and not as
+    numpy's syrk path for one buffer times its own transpose; and a flat
+    float64 array of at least S * d**2 entries the product is written to.
+
+    For a real stack the left factor is a copy of Psi, and S = rho.  For a
+    complex one it is (1 - i)Psi: with Psi = A + iB, its interleaved real
+    view times that of Psi, over K = 2M columns, is (A + B)A^T + (B - A)B^T
+    = (AA^T + BB^T) + (BA^T - AB^T) = Re rho + Im rho, at half of zgemm's
+    flops."""
+    s = stack.shape[0]
+    work, out = buffers or (np.empty((2,) + stack.shape, stack.dtype), np.empty(s * mask.dim**2))
+    right = _bipartite_stack(stack, mask, work[0])
+    left = work[1].reshape(right.shape)
+    if stack.dtype.kind == "c":
+        np.multiply(right, 1 - 1j, out=left)
+        left, right = left.view(np.float64), right.view(np.float64)
+    else:
+        np.copyto(left, right)
+    gram = out[: s * mask.dim**2].reshape(s, mask.dim, mask.dim)
+    return np.matmul(left, right.transpose(0, 2, 1), out=gram)
 
 
 def _side(mask: int, dim: int, shape: FactorizationShape) -> tuple[int, int]:
@@ -195,6 +222,54 @@ def _plan(shape: FactorizationShape, masks: list[int]) -> tuple[np.ndarray, np.n
     return source, np.array(walk, np.int64).reshape(-1, 3)
 
 
+def _run_walk(
+    stack: np.ndarray, shape: FactorizationShape, walk: np.ndarray, out: np.ndarray
+) -> None:
+    """Run the walk of ``_plan`` on an (S, N) stack, writing the purities
+    of each step that has a column to that column of the (S, M) ``out``.
+
+    The chain of live reduced matrices, one per depth, is cut back to each
+    step's depth before the step, so one chain from one Gram product is
+    alive at a time.  It lives in float64 buffers allocated before the
+    loop, one per depth, each as large as the largest S * d**2 of the walk
+    at its depth: a Gram product writes into depth 0's through two work
+    buffers the size of the stack, and a trace writes the sum of its d
+    diagonal blocks into its depth's.  The buffers are freed on return.
+    """
+    dim_of = _dim_lookup(shape)
+    s = stack.shape[0]
+    # the largest node dimension at each depth, in depth order
+    largest: dict[int, int] = {}
+    for node, depth in walk[:, :2].tolist():
+        largest[depth] = max(largest.get(depth, 0), dim_of(node))
+    work = np.empty((2,) + stack.shape, stack.dtype)
+    levels = [np.empty(s * d * d) for d in largest.values()]
+    # (mask, reduced matrices) of the last step at each depth so far
+    chain: list[tuple[int, np.ndarray]] = []
+    # one row at a time: the walk as a list of Python ints would outweigh
+    # the smaller buffers
+    for step in walk:
+        node, depth, col = step.tolist()
+        del chain[depth:]
+        if depth:
+            # b is the dimension of up's positions below pos, a above it
+            up, rho = chain[-1]
+            pos = (up ^ node).bit_length() - 1
+            b, d = dim_of(up & ((1 << pos) - 1)), shape.dims[pos]
+            a = rho.shape[1] // (b * d)
+            blocks = rho.reshape(s, b, d, a, b, d, a)
+            rho = levels[depth][: s * (b * a) ** 2].reshape(s, b, a, b, a)
+            np.add(blocks[:, :, 0, :, :, 0], blocks[:, :, 1, :, :, 1], out=rho)
+            for k in range(2, d):
+                np.add(rho, blocks[:, :, k, :, :, k], out=rho)
+            rho = rho.reshape(s, b * a, b * a)
+        else:
+            rho = _gram_stack(stack, SubsystemMask(node, shape), (work, levels[0]))
+        chain.append((node, rho))
+        if col >= 0:
+            out[:, col] = _squared_norms(rho)
+
+
 def sweep_purities(
     stack: np.ndarray, shape: FactorizationShape, masks: list[int]
 ) -> np.ndarray:
@@ -207,48 +282,36 @@ def sweep_purities(
     whose node has a dimension over ``GRAM_DIM_CAP`` raises ConfigError
     before any Gram product is formed.
 
-    One loop runs the walk of ``_plan`` with a chain of live reduced
-    matrices, one per depth, cut back to each step's depth before the step,
-    so one chain from one Gram product is alive at a time.  Then one range
-    check requires each node's purities to lie in [1/d_node, 1], else
-    NumericViolation names the first bad node in visit order; a corrupted
-    hub shows in the first root traced out of it.
+    ``_run_walk`` runs the walk of ``_plan`` in buffers sized from it
+    before anything is allocated.  Then one range check requires each
+    node's purities to lie in [1/d_node, 1], else NumericViolation names
+    the first bad node in visit order; a corrupted hub shows in the first
+    root traced out of it.
     """
     source, walk = _plan(shape, masks)
-    dim_of = _dim_lookup(shape)
-    s = stack.shape[0]
-    out = np.empty((s, len(masks)))
-    # (mask, reduced matrices) of the last step at each depth so far
-    chain: list[tuple[int, np.ndarray]] = []
-    for node, depth, col in walk.tolist():
-        del chain[depth:]
-        if depth:
-            # b is the dimension of up's positions below pos, a above it
-            up, rho = chain[-1]
-            pos = (up ^ node).bit_length() - 1
-            b, d = dim_of(up & ((1 << pos) - 1)), shape.dims[pos]
-            a = rho.shape[1] // (b * d)
-            rho = np.einsum("sabcdbe->sacde", rho.reshape(s, b, d, a, b, d, a))
-            rho = rho.reshape(s, b * a, b * a)
-        else:
-            rho = _gram_stack(stack, SubsystemMask(node, shape))
-        chain.append((node, rho))
-        if col >= 0:
-            out[:, col] = _squared_norms(rho)
+    out = np.empty((stack.shape[0], len(masks)))
+    _run_walk(stack, shape, walk, out)
     written = walk[walk[:, 2] >= 0]
     nodes = written[:, 0].tolist()
+    dim_of = _dim_lookup(shape)
     _check_range(out[:, written[:, 2]], nodes, [dim_of(m) for m in nodes])
     return out[:, source]
 
 
 def reduced_density(psi: PureState, mask: SubsystemMask) -> DensityMatrix:
-    """Partial trace over the complement, computed as Psi Psi†."""
+    """Partial trace over the complement, rebuilt from the real matrix
+    S = Re rho + Im rho of ``_gram_stack``: rho = ((S + S^T) + i(S - S^T))/2,
+    Hermitian to the last bit; (S + S^T)/2 for a real state."""
     _check_pair(psi, mask)
     if mask.dim > REDUCED_DENSITY_CAP:
         raise DimensionCap(f"subsystem dimension {mask.dim} exceeds cap {REDUCED_DENSITY_CAP}")
     gram = _gram_stack(psi.amps[np.newaxis], mask)[0]
-    # symmetrize away the last-bit asymmetry of the matrix product
-    return DensityMatrix((gram + gram.conj().T) / 2.0)
+    # S's symmetric part is Re rho and its antisymmetric part Im rho; taking
+    # them apart also drops the last-bit asymmetry of the matrix product
+    symmetric = gram + gram.T
+    if psi.amps.dtype.kind == "c":
+        return DensityMatrix((symmetric + 1j * (gram - gram.T)) / 2.0)
+    return DensityMatrix(symmetric / 2.0)
 
 
 def purity(psi: PureState | np.ndarray, mask: SubsystemMask) -> float | np.ndarray:
@@ -256,9 +319,9 @@ def purity(psi: PureState | np.ndarray, mask: SubsystemMask) -> float | np.ndarr
 
     ``psi`` is one PureState, giving one float, or the amplitudes of S
     states stacked as an (S, N) array, giving the S purities in one call
-    with one transpose of the whole stack.  A stack is used in its own
-    dtype: float64 for real amplitudes, complex128 otherwise.  A purity
-    outside [1/min(d_A, d_B), 1] beyond ``PURITY_TOLERANCE`` raises
+    with one transpose of the whole stack.  Real and complex stacks alike
+    reduce to the real matrix of ``_gram_stack``.  A purity outside
+    [1/min(d_A, d_B), 1] beyond ``PURITY_TOLERANCE`` raises
     NumericViolation naming the mask and the stack row.
     """
     one = isinstance(psi, PureState)
@@ -273,4 +336,3 @@ def purity(psi: PureState | np.ndarray, mask: SubsystemMask) -> float | np.ndarr
     purities = _squared_norms(_gram_stack(psi, mask if side == mask.mask else mask.complement()))
     _check_range(purities[:, np.newaxis], [mask.mask], [dim])
     return float(purities[0]) if one else purities
-

@@ -270,7 +270,7 @@ class TestSweep:
         kernel = onticsim.reduction._gram_stack
         monkeypatch.setattr(
             onticsim.reduction, "_gram_stack",
-            lambda stack, mask: kernel(stack * 1.5, mask),
+            lambda stack, mask, *buffers: kernel(stack * 1.5, mask, *buffers),
         )
         code, _, err = run_cli(capsys, "sweep", "--shape", "2x2x2", "--states", "2")
         assert code == 3
@@ -410,7 +410,7 @@ class TestEvolve:
         kernel = onticsim.reduction._gram_stack
         monkeypatch.setattr(
             onticsim.reduction, "_gram_stack",
-            lambda stack, mask: kernel(stack * 1.5, mask),
+            lambda stack, mask, *buffers: kernel(stack * 1.5, mask, *buffers),
         )
         code, _, err = run_cli(
             capsys,

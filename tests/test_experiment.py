@@ -142,9 +142,9 @@ def spy_lattice(monkeypatch):
     grams = []
     gram_stack = onticsim.reduction._gram_stack
 
-    def gram_spy(stack, mask):
+    def gram_spy(stack, mask, *buffers):
         grams.append((stack.shape, stack.dtype, mask.mask))
-        return gram_stack(stack, mask)
+        return gram_stack(stack, mask, *buffers)
 
     monkeypatch.setattr(onticsim.reduction, "_gram_stack", gram_spy)
     return grams
@@ -592,8 +592,8 @@ class TestLattice:
         steps = walk_of(shape, list(range(1, (1 << 6) - 1)))
         assert [(d, c >= 0) for m, d, c, _ in steps if m == root] == [(0, True)]
 
-        def corrupted(stack, mask):
-            rho = gram_stack(stack, mask)
+        def corrupted(stack, mask, *buffers):
+            rho = gram_stack(stack, mask, *buffers)
             return rho * scale if mask.mask == root else rho
 
         monkeypatch.setattr(onticsim.reduction, "_gram_stack", corrupted)
@@ -612,8 +612,8 @@ class TestLattice:
         served = [m for m, _, _, up in steps if up == hub]
         assert served == [0b111, 0b1011, 0b1101]
 
-        def corrupted(stack, mask):
-            rho = gram_stack(stack, mask)
+        def corrupted(stack, mask, *buffers):
+            rho = gram_stack(stack, mask, *buffers)
             return rho * scale if mask.mask == hub else rho
 
         monkeypatch.setattr(onticsim.reduction, "_gram_stack", corrupted)
@@ -633,7 +633,9 @@ class TestLattice:
             return check_range(purities, masks, dims)
 
         monkeypatch.setattr(
-            onticsim.reduction, "_gram_stack", lambda stack, mask: gram_stack(stack, mask) * 10.0
+            onticsim.reduction,
+            "_gram_stack",
+            lambda stack, mask, *buffers: gram_stack(stack, mask, *buffers) * 10.0,
         )
         monkeypatch.setattr(onticsim.reduction, "_check_range", spy)
         shape = FactorizationShape.parse("2x3x2x3x2")
@@ -762,6 +764,33 @@ class TestLattice:
         # a root's 128 x 128 float64 matrix is 128 KiB; the 1,716 roots
         # together would be 225 MB
         assert peak < 4 << 20
+
+    @pytest.mark.parametrize("basis", ["ontic", "energy"])
+    def test_walk_allocates_only_its_buffers(self, basis):
+        # the walk's float64 buffers, one per depth as large as the largest
+        # S * d**2 there, two stack-sized work buffers and the (S, M) output
+        # bound the peak; a matrix copied per step on top of them shows
+        shape = FactorizationShape((2,) * 12)
+        generator = random_permutation(shape.total, seed=5) if basis == "energy" else None
+        config = SweepConfig(shape=shape, num_states=10, seed=5, generator=generator)
+        stack = sweep_stack(config)
+        masks = _enumerate_masks(config, random.Random(5))
+        largest = {}
+        for mask, depth, _, _ in walk_of(shape, masks):
+            largest[depth] = max(largest.get(depth, 0), dim_of(mask, shape))
+        buffers = 8 * 10 * sum(d * d for d in largest.values())
+        bound = buffers + 2 * stack.nbytes + 8 * 10 * len(masks) + (256 << 10)
+        sweep_purities(stack, shape, masks)
+        tracemalloc.start()
+        try:
+            sweep_purities(stack, shape, masks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak, bound)
+        if basis == "energy":
+            # the peak of 0.19.0, whose walk formed each complex rho afresh
+            assert peak < 4.60 * (1 << 20)
 
 
 def factorized_run(text, basis, sizes=None, samples=None):

@@ -102,6 +102,30 @@ class TestReducedDensity:
                 rho = reduced_density(psi, mask)
                 assert np.trace(rho.entries).real == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("text, positions", [("2x3x2", [0, 2]), ("2^6", [1, 2, 4])])
+    def test_complex_state_is_exactly_hermitian(self, text, positions):
+        # rho is rebuilt from S = Re rho + Im rho as its symmetric and
+        # antisymmetric parts, so its two triangles agree to the last bit
+        shape = FactorizationShape.parse(text)
+        mask = SubsystemMask.from_positions(shape, positions)
+        amps = phased(ontic_stack(shape, 1, seed=shape.total), seed=5)[0]
+        rho = reduced_density(PureState(amps, shape), mask).entries
+        assert np.array_equal(rho, rho.conj().T)
+        want = reduced_density_bruteforce(amps, shape.dims, mask.positions)
+        assert np.abs(rho - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("text, positions", [("2x3x2", [0, 2]), ("2^6", [1, 2, 4])])
+    def test_real_state_keeps_the_symmetrized_gram_product(self, text, positions):
+        # (G + G^T) / 2 of the Gram product against a separate copy, as
+        # reduced_density computed it for real states before the real walk
+        shape = FactorizationShape.parse(text)
+        mask = SubsystemMask.from_positions(shape, positions)
+        psi = state_from_ontic(random_ontic(shape.total, seed=9), shape)
+        mats = bipartite_view(psi, mask)
+        gram = mats @ mats.copy().T
+        want = (gram + gram.T) / 2.0
+        assert np.array_equal(reduced_density(psi, mask).entries, want)
+
     def test_dimension_cap(self, monkeypatch):
         monkeypatch.setattr(onticsim.reduction, "REDUCED_DENSITY_CAP", 2)
         shape = FactorizationShape((4, 4))
@@ -267,10 +291,13 @@ class TestGramStack:
         if complex_amps:
             stack = phased(stack, seed=count)
         rho = _gram_stack(stack, mask)
-        assert rho.dtype == stack.dtype
+        # the real matrix S = Re rho + Im rho, which is rho for real states
+        assert rho.dtype == np.float64
         assert rho.shape == (count, mask.dim, mask.dim)
         for row, amps in enumerate(stack):
             want = reduced_density_bruteforce(amps, shape.dims, mask.positions)
+            if complex_amps:
+                want = want.real + want.imag
             assert np.abs(rho[row] - want).max() <= 1e-13
 
 
