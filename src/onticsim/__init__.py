@@ -1,7 +1,7 @@
 """Finite-dimensional quantum states from bit vectors: Hilbert-space
 factorization, subsystem entropies, and permutation evolutions."""
 
-__version__ = "0.20.0"
+__version__ = "0.21.0"
 
 from .bitstate import (
     OnticVector,
@@ -25,7 +25,6 @@ from .errors import (
     DimensionCap,
     DomainError,
     EmptyInput,
-    IndexOutOfRange,
     InvalidCycle,
     LengthMismatch,
     NotHermitian,
@@ -50,8 +49,6 @@ from .experiment import (
 from .indexing import (
     FactorizationShape,
     SubsystemMask,
-    decode,
-    encode,
     natural_state_lower_bound,
     orthant_sphere_area,
 )
@@ -59,7 +56,6 @@ from .permrep import (
     EnergyBasis,
     Permutation,
     energy_basis,
-    evolve_ontic,
     random_permutation,
 )
 from .reduction import (
@@ -69,9 +65,7 @@ from .reduction import (
 )
 from .states import (
     DensityMatrix,
-    NaturalVector,
     PureState,
     project_standard,
-    state_from_natural,
     state_from_ontic,
 )

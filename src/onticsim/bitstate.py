@@ -43,11 +43,6 @@ class OnticVector:
             raise ConfigError(f"pattern 0x{self.bits:X} does not fit in {self.n} bits")
 
     @classmethod
-    def from_bitstring(cls, text: str) -> "OnticVector":
-        """Parse a literal bit string such as "1100" (element 0 first)."""
-        return cls(int(text, 2), len(text))
-
-    @classmethod
     def from_array(cls, values) -> "OnticVector":
         """Build from a 0/1 sequence indexed by element."""
         arr = (np.asarray(values) != 0).astype(np.uint8)
@@ -72,15 +67,6 @@ class OnticVector:
     def serialize(self) -> str:
         """Wire form "n:0xHEX" with element 0 at the most significant bit."""
         return f"{self.n}:0x{self.bits:X}"
-
-    def bit(self, i: int) -> int:
-        """Value of element i (0-based)."""
-        if not 0 <= i < self.n:
-            raise ConfigError(f"element {i} outside 0..{self.n - 1}")
-        return (self.bits >> (self.n - 1 - i)) & 1
-
-    def to_bitstring(self) -> str:
-        return format(self.bits, f"0{self.n}b")
 
     def to_array(self) -> np.ndarray:
         """0/1 values indexed by element, as uint8."""

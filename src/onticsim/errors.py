@@ -30,10 +30,6 @@ class DegenerateState(ConfigError):
     """The empty or full pattern cannot define a state."""
 
 
-class IndexOutOfRange(ConfigError, IndexError):
-    """A basis or local index fell outside its valid range."""
-
-
 class InvalidCycle(ConfigError):
     """Cycle input reuses a point or leaves the valid range."""
 

@@ -1,5 +1,4 @@
-"""Factorization shapes and the mixed-radix bijection between global and
-local basis indices.
+"""Factorization shapes and subsystem masks.
 
 The convention is big-endian: for dims (d_1, ..., d_K) the first local
 index is the most significant digit, i = i_1*d_2*...*d_K + ... + i_K.
@@ -14,13 +13,11 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ConfigError, IndexOutOfRange
+from .errors import ConfigError
 
 __all__ = [
     "FactorizationShape",
     "SubsystemMask",
-    "encode",
-    "decode",
     "natural_state_lower_bound",
     "orthant_sphere_area",
 ]
@@ -57,13 +54,6 @@ class FactorizationShape:
     @property
     def k(self) -> int:
         return len(self.dims)
-
-    @cached_property
-    def strides(self) -> tuple[int, ...]:
-        out = [1] * self.k
-        for pos in range(self.k - 2, -1, -1):
-            out[pos] = out[pos + 1] * self.dims[pos + 1]
-        return tuple(out)
 
     @classmethod
     def parse(cls, text: str) -> "FactorizationShape":
@@ -130,10 +120,6 @@ class SubsystemMask:
         return tuple(p for p in range(self.shape.k) if self.mask >> p & 1)
 
     @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
-    @property
     def is_proper(self) -> bool:
         return 0 < self.mask < (1 << self.shape.k) - 1
 
@@ -150,28 +136,6 @@ class SubsystemMask:
     def dim(self) -> int:
         """Dimension of the subsystem: product of its local dimensions."""
         return math.prod(self.shape.dims[p] for p in self.positions)
-
-
-def encode(shape: FactorizationShape, local_indices) -> int:
-    """Global index of a tuple of local indices (big-endian mixed radix)."""
-    locs = tuple(local_indices)
-    if len(locs) != shape.k:
-        raise IndexOutOfRange(f"expected {shape.k} local indices, got {len(locs)}")
-    total = 0
-    for pos, (i, d, s) in enumerate(zip(locs, shape.dims, shape.strides)):
-        i = int(i)
-        if not 0 <= i < d:
-            raise IndexOutOfRange(f"local index {i} at position {pos} outside [0, {d})")
-        total += i * s
-    return total
-
-
-def decode(shape: FactorizationShape, index: int) -> tuple[int, ...]:
-    """Local indices of a global index; inverse of :func:`encode`."""
-    index = int(index)
-    if not 0 <= index < shape.total:
-        raise IndexOutOfRange(f"index {index} outside [0, {shape.total})")
-    return tuple((index // s) % d for s, d in zip(shape.strides, shape.dims))
 
 
 def natural_state_lower_bound(n: int) -> int:

@@ -19,7 +19,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .bitstate import OnticVector
 from .errors import ConfigError, InvalidCycle, SizeMismatch
 from .indexing import check_points
 from .states import PureState
@@ -28,7 +27,6 @@ __all__ = [
     "Permutation",
     "EnergyBasis",
     "random_permutation",
-    "evolve_ontic",
     "energy_basis",
 ]
 
@@ -114,10 +112,6 @@ class Permutation:
         object.__setattr__(self, "images", arr)
 
     @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls.from_cycles(n, [])
-
-    @classmethod
     def from_cycles(cls, n: int, cycles) -> "Permutation":
         """Build from disjoint cycles; points absent from every cycle stay
         fixed.  Raises InvalidCycle on reuse or out-of-range points."""
@@ -142,7 +136,7 @@ class Permutation:
         """Cycle notation, e.g. "(0 1 2)(3 4)"; commas also accepted."""
         body = text.strip()
         if body in ("", "()"):
-            return cls.identity(n)
+            return cls.from_cycles(n, [])
         groups = re.findall(r"\(([^()]*)\)", body)
         leftover = re.sub(r"\([^()]*\)", "", body).strip()
         if leftover or not groups:
@@ -191,10 +185,6 @@ class Permutation:
     def order(self) -> int:
         return math.lcm(*self.layout[1].tolist())
 
-    @cached_property
-    def cycle_type(self) -> tuple[int, ...]:
-        return tuple(sorted(self.layout[1].tolist(), reverse=True))
-
     def power_images(self, t: int) -> np.ndarray:
         """Image array of g**t, t any Python int: the point in slot s of a
         cycle of length ell moves to slot (s + t) mod ell of that cycle."""
@@ -226,17 +216,6 @@ def random_permutation(n: int, seed: int | None = None) -> Permutation:
     return Permutation(rng.permutation(n))
 
 
-def evolve_ontic(g: Permutation, q: OnticVector, t: int = 1) -> OnticVector:
-    """Image of the subset under g**t: element i lands on its image, so
-    building a state from the result commutes with evolving the state."""
-    if g.n != q.n:
-        raise SizeMismatch(f"permutation size {g.n} != vector length {q.n}")
-    arr = q.to_array()
-    out = np.empty_like(arr)
-    out[g.power_images(t)] = arr
-    return OnticVector.from_array(out)
-
-
 @dataclass(frozen=True, eq=False)
 class EnergyBasis:
     """Change of basis that diagonalizes a permutation matrix.
@@ -244,8 +223,7 @@ class EnergyBasis:
     Grouped position s is slot s of the generator's cycle layout: the
     original indices with each cycle contiguous.  Fourier-transforming
     every cycle block completes the diagonalization, and slot k of a
-    cycle of length ell carries the exact eigenphase pair (ell, k), i.e.
-    eigenvalue exp(2 pi i k / ell).
+    cycle of length ell carries the eigenvalue exp(2 pi i k / ell).
     """
 
     generator: Permutation
@@ -258,12 +236,6 @@ class EnergyBasis:
         for length in sorted(set(lengths.tolist())):
             slots = starts[lengths == length][:, None] + np.arange(length)
             yield length, slots, points[slots]
-
-    @cached_property
-    def eigenphase_exponents(self) -> tuple[tuple[int, int], ...]:
-        """Per grouped position, the exact pair (ell, k) for exp(2 pi i k / ell)."""
-        lengths = self.generator.layout[1].tolist()
-        return tuple((length, k) for length in lengths for k in range(length))
 
     def eigenvalues(self) -> np.ndarray:
         """Diagonal of the transformed permutation matrix, grouped order."""
@@ -280,16 +252,6 @@ class EnergyBasis:
         out = np.empty(psi.dim, dtype=np.complex128)
         for length, slots, pts in self._groups():
             out[slots] = np.fft.fft(psi.amps[pts], axis=1) / math.sqrt(length)
-        return PureState(out, psi.shape)
-
-    def inverse_transform(self, psi: PureState) -> PureState:
-        """Back to the original basis; exact inverse of :meth:`transform`.
-        The result is complex128."""
-        if psi.dim != self.generator.n:
-            raise SizeMismatch(f"basis size {self.generator.n} != state dimension {psi.dim}")
-        out = np.empty(psi.dim, dtype=np.complex128)
-        for length, slots, pts in self._groups():
-            out[pts] = np.fft.ifft(psi.amps[slots], axis=1) * math.sqrt(length)
         return PureState(out, psi.shape)
 
 

@@ -1,10 +1,10 @@
 """Pure states orthogonal to the all-ones direction, and small density
 matrices.
 
-States come from bit patterns (subset indicators) or general nonnegative
-integer vectors: project out the uniform component, then normalize.  For
-a bit pattern with k of n bits set the projected squared norm is exactly
-k*(n - k)/n, so construction costs one division and one square root.
+States come from bit patterns (subset indicators): project out the
+uniform component, then normalize.  For a bit pattern with k of n bits
+set the projected squared norm is exactly k*(n - k)/n, so construction
+costs one division and one square root.
 """
 
 from __future__ import annotations
@@ -26,11 +26,9 @@ from .indexing import FactorizationShape
 
 __all__ = [
     "PureState",
-    "NaturalVector",
     "DensityMatrix",
     "project_standard",
     "state_from_ontic",
-    "state_from_natural",
 ]
 
 NORM_TOLERANCE = 1e-12  # largest |norm - 1| a state may have
@@ -71,34 +69,6 @@ class PureState:
     @property
     def dim(self) -> int:
         return self.amps.size
-
-    def coordinate_sum(self) -> complex:
-        """Overlap with the (unnormalized) all-ones vector."""
-        return complex(self.amps.sum())
-
-
-@dataclass(frozen=True)
-class NaturalVector:
-    """Vector of integers in {0, ..., order}; a state descriptor once the
-    uniform component is removed."""
-
-    entries: np.ndarray
-    order: int = 2
-
-    def __post_init__(self) -> None:
-        if self.order < 2:
-            raise ConfigError(f"order must be >= 2, got {self.order}")
-        arr = np.array(self.entries, dtype=np.int64, copy=True)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ConfigError("entries must be a vector of length >= 2")
-        if arr.min() < 0 or arr.max() > self.order:
-            raise ConfigError(f"entries must lie in 0..{self.order}")
-        if not arr.any():
-            raise DegenerateState("the all-zero vector has no direction")
-        if arr.min() == arr.max():
-            raise DegenerateState("a uniform vector projects to zero")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
 
 
 @dataclass(frozen=True)
@@ -155,16 +125,4 @@ def state_from_ontic(q: OnticVector, shape: FactorizationShape) -> PureState:
     scale = math.sqrt(k * (q.n - k) / q.n)
     amps = (q.to_array().astype(np.float64) - density) / scale
     return PureState(amps, shape)
-
-
-def state_from_natural(vector, shape: FactorizationShape) -> PureState:
-    """Normalized projection of a nonnegative integer vector."""
-    entries = vector.entries if isinstance(vector, NaturalVector) else np.asarray(vector)
-    if entries.ndim != 1 or entries.size != shape.total:
-        raise LengthMismatch(f"vector length {entries.size} != shape total {shape.total}")
-    projected = project_standard(entries)
-    norm = np.linalg.norm(projected)
-    if norm <= 1e-9 * max(1.0, float(np.abs(entries).max())):
-        raise DegenerateState("vector proportional to the all-ones direction")
-    return PureState(projected / norm, shape)
 

@@ -19,7 +19,7 @@ from onticsim.errors import ConfigError, DegenerateState, LengthMismatch
 
 
 def bs(text):
-    return OnticVector.from_bitstring(text)
+    return OnticVector(int(text, 2), len(text))
 
 
 class TestPopcount:
@@ -118,7 +118,7 @@ class TestRandomOntic:
     def test_two_elements_always_nontrivial(self):
         for seed in range(50):
             q = random_ontic(2, seed)
-            assert q.to_bitstring() in ("01", "10")
+            assert q.bits in (0b01, 0b10)
 
     def test_deterministic(self):
         assert random_ontic(12, seed=7) == random_ontic(12, seed=7)
@@ -185,10 +185,6 @@ class TestSerialization:
         q = bs("100101")
         np.testing.assert_array_equal(q.to_array(), [1, 0, 0, 1, 0, 1])
         assert OnticVector.from_array(q.to_array()) == q
-
-    def test_bit_accessor(self):
-        q = bs("1001")
-        assert [q.bit(i) for i in range(4)] == [1, 0, 0, 1]
 
     def test_width_validation(self):
         with pytest.raises(ConfigError):

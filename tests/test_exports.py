@@ -1,6 +1,6 @@
 """Every public export of the package resolves to a real attribute, the
-package version agrees with the project metadata, and the test oracle
-imports nothing from the package."""
+exports are exactly the pinned list, the package version agrees with the
+project metadata, and the test oracle imports nothing from the package."""
 
 import ast
 import importlib
@@ -25,14 +25,37 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
-def test_package_imports_resolve():
+# every name here is run by a CLI path or an acceptance criterion; a name
+# joins the list only together with one of them
+EXPORTS = [
+    "AlphaOne", "ConfigError", "CycleCensus", "CycleCountStat", "DegenerateState",
+    "DensityMatrix", "DimensionCap", "DomainError", "EmptyInput", "EnergyBasis",
+    "FactorizationShape", "InvalidCycle", "LengthMismatch", "NotHermitian",
+    "NumericViolation", "OnticVector", "OnticsimError", "Permutation", "PureState",
+    "SizeMismatch", "SizeSummary", "Spectrum", "SubsystemMask", "SweepConfig",
+    "SweepResult", "SweepSummary", "TrivialSubsystem", "collision_entropy",
+    "complement", "energy_basis", "inner_ontic", "natural_state_lower_bound",
+    "orthant_sphere_area", "overlap_standard", "popcount", "project_standard",
+    "purity", "random_ontic", "random_permutation", "reduced_density",
+    "renyi_entropy", "run_cycle_census", "run_sweep", "run_time_series",
+    "spectrum_of", "state_from_ontic", "summarize_by_size", "sweep_csv",
+    "sweep_purities", "von_neumann_entropy",
+]
+
+
+def package_imports():
+    """(module, name) of each relative import in the package's __init__."""
     tree = ast.parse(pathlib.Path(onticsim.__file__).read_text())
-    imported = [
+    return [
         (node.module, alias.name)
         for node in tree.body
         if isinstance(node, ast.ImportFrom) and node.level == 1
         for alias in node.names
     ]
+
+
+def test_package_imports_resolve():
+    imported = package_imports()
     assert imported
     missing = [
         f"{module}.{attr}"
@@ -41,6 +64,10 @@ def test_package_imports_resolve():
         or not hasattr(onticsim, attr)
     ]
     assert missing == []
+
+
+def test_exports_are_pinned():
+    assert sorted(name for _, name in package_imports()) == EXPORTS
 
 
 def test_version_matches_pyproject():

@@ -1,33 +1,24 @@
-"""Tests for shapes, the mixed-radix codec, and the bipartition indexing
-of the test oracle."""
+"""Tests for shapes, subsystem masks, the count and area bounds, and the
+bipartition indexing of the test oracle."""
 
 import math
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from oracle import arrange
 
-from onticsim.errors import ConfigError, IndexOutOfRange
+from onticsim.errors import ConfigError
 from onticsim.indexing import (
     POINT_CAP,
     FactorizationShape,
     SubsystemMask,
-    decode,
-    encode,
     natural_state_lower_bound,
     orthant_sphere_area,
 )
 
 
 class TestShape:
-    def test_strides(self):
-        shape = FactorizationShape((2, 3, 2))
-        assert shape.total == 12
-        assert shape.strides == (6, 2, 1)
-
     def test_parse_explicit(self):
         assert FactorizationShape.parse("2x3x2").dims == (2, 3, 2)
 
@@ -61,55 +52,12 @@ class TestShape:
         assert FactorizationShape.parse(str(shape)) == shape
 
 
-class TestEncodeDecode:
-    def test_binary_expansion(self):
-        assert encode(FactorizationShape((2, 2, 2)), (1, 0, 1)) == 5
-
-    def test_mixed_radix(self):
-        assert encode(FactorizationShape((2, 3, 2)), (1, 2, 0)) == 10
-
-    def test_single_factor_identity(self):
-        shape = FactorizationShape((7,))
-        for i in range(7):
-            assert encode(shape, (i,)) == i
-
-    def test_decode_examples(self):
-        assert decode(FactorizationShape((2, 3, 2)), 10) == (1, 2, 0)
-        assert decode(FactorizationShape((2, 2, 2)), 0) == (0, 0, 0)
-
-    def test_round_trip_exhaustive(self):
-        shape = FactorizationShape((2, 3, 4))
-        for i in range(24):
-            assert encode(shape, decode(shape, i)) == i
-
-    def test_out_of_range(self):
-        shape = FactorizationShape((2, 3))
-        with pytest.raises(IndexOutOfRange):
-            encode(shape, (1, 3))
-        with pytest.raises(IndexOutOfRange):
-            decode(shape, 6)
-        with pytest.raises(IndexOutOfRange):
-            decode(shape, -1)
-
-    @settings(max_examples=80, derandomize=True)
-    @given(st.lists(st.integers(min_value=2, max_value=6), min_size=1, max_size=5))
-    def test_round_trip_property(self, dims):
-        shape = FactorizationShape(tuple(dims))
-        if shape.total > 10_000:
-            return
-        idx = np.arange(shape.total)
-        table = np.stack(np.unravel_index(idx, shape.dims), axis=1)
-        rebuilt = table @ np.asarray(shape.strides)
-        np.testing.assert_array_equal(rebuilt, idx)
-
-
 class TestSubsystemMask:
     def test_positions_and_dims(self):
         shape = FactorizationShape((2, 3, 2))
         mask = SubsystemMask.from_positions(shape, [0, 2])
         assert mask.mask == 0b101
         assert mask.positions == (0, 2)
-        assert mask.size == 2
         assert mask.dim == 4
         assert mask.complement().positions == (1,)
 
@@ -180,14 +128,16 @@ class TestSplitIndex:
         assert arrange(range(24), dims, [0, 2]) == [list(c) for c in zip(*rows)]
 
     def test_digits_agree_with_decode(self):
-        # an entry's row is its subsystem digits, as decode reads them
-        shape = FactorizationShape((2, 3, 2))
+        # an entry's row is its subsystem digits, as numpy's big-endian
+        # unravel decodes them
+        dims = (2, 3, 2)
         for bits in range(1, 7):
             inside = [p for p in range(3) if bits >> p & 1]
-            sub = FactorizationShape(tuple(shape.dims[p] for p in inside))
-            for row, entries in enumerate(arrange(range(12), shape.dims, inside)):
+            sub = [dims[p] for p in inside]
+            for row, entries in enumerate(arrange(range(12), dims, inside)):
                 for i in entries:
-                    assert row == encode(sub, [decode(shape, i)[p] for p in inside])
+                    digits = np.unravel_index(i, dims)
+                    assert row == np.ravel_multi_index([digits[p] for p in inside], sub)
 
 
 class TestStateCountBound:

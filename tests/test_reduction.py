@@ -16,7 +16,7 @@ from onticsim.states import PureState, state_from_ontic
 
 
 def bs(text):
-    return OnticVector.from_bitstring(text)
+    return OnticVector(int(text, 2), len(text))
 
 
 def proper_masks(shape):

@@ -15,16 +15,14 @@ from onticsim.errors import (
 from onticsim.indexing import FactorizationShape
 from onticsim.states import (
     DensityMatrix,
-    NaturalVector,
     PureState,
     project_standard,
-    state_from_natural,
     state_from_ontic,
 )
 
 
 def bs(text):
-    return OnticVector.from_bitstring(text)
+    return OnticVector(int(text, 2), len(text))
 
 
 def flat_shape(n):
@@ -81,7 +79,7 @@ class TestStateFromOntic:
         for _ in range(25):
             psi = state_from_ontic(random_ontic(64, rng=rng), shape)
             assert abs(np.linalg.norm(psi.amps) - 1.0) < 1e-12
-            assert abs(psi.coordinate_sum()) < 1e-10
+            assert abs(psi.amps.sum()) < 1e-10
 
     def test_projected_norm_exact_in_rationals(self):
         # ||q - (k/n) ones||^2 == k (n - k) / n, checked in exact arithmetic
@@ -103,34 +101,6 @@ class TestStateFromOntic:
                 state_from_ontic(q, shape).amps, state_from_ontic(r, shape).amps
             ).real
             assert lhs == pytest.approx(overlap_standard(q, r), abs=1e-12)
-
-
-class TestStateFromNatural:
-    def test_hand_case(self):
-        psi = state_from_natural([1, 0, 0, 0], flat_shape(4))
-        np.testing.assert_allclose(
-            psi.amps, np.array([3, -1, -1, -1]) / np.sqrt(12), atol=1e-15
-        )
-
-    def test_bit_pattern_matches_ontic_path(self):
-        q = bs("0110")
-        shape = flat_shape(4)
-        via_natural = state_from_natural(q.to_array(), shape)
-        via_ontic = state_from_ontic(q, shape)
-        np.testing.assert_allclose(via_natural.amps, via_ontic.amps, atol=1e-14)
-
-    def test_uniform_vector_degenerate(self):
-        with pytest.raises(DegenerateState):
-            state_from_natural([2, 2, 2, 2], flat_shape(4))
-
-    def test_natural_vector_type_validates(self):
-        with pytest.raises(DegenerateState):
-            NaturalVector(np.array([3, 3, 3]), order=3)
-        with pytest.raises(DegenerateState):
-            NaturalVector(np.array([0, 0, 0]), order=2)
-        nat = NaturalVector(np.array([2, 1, 0, 1]), order=2)
-        psi = state_from_natural(nat, flat_shape(4))
-        assert abs(np.linalg.norm(psi.amps) - 1.0) < 1e-12
 
 
 def density_full(psi):
@@ -189,20 +159,16 @@ class TestDtypeRule:
         q = random_ontic(12, seed=30)
         ontic = state_from_ontic(q, shape)
         assert ontic.amps.dtype == np.float64
-        for entries in (q.to_array(), q.to_array().tolist(), NaturalVector(q.to_array())):
-            natural = state_from_natural(entries, shape)
-            assert natural.amps.dtype == np.float64
-            np.testing.assert_allclose(natural.amps, ontic.amps, atol=1e-15)
 
     def test_single_precision_input_projected_in_double(self):
         # the projection runs in at least double precision, so float32
-        # entries still give a state normalized to 1e-12
+        # entries still give the subset's state to 1e-15
         shape = FactorizationShape((2, 3, 2))
         q = random_ontic(12, seed=31)
         expected = state_from_ontic(q, shape).amps
         for dtype in (np.float32, np.complex64):
-            psi = state_from_natural(q.to_array().astype(dtype), shape)
-            np.testing.assert_allclose(psi.amps, expected, atol=1e-15)
+            projected = project_standard(q.to_array().astype(dtype))
+            np.testing.assert_allclose(projected / np.linalg.norm(projected), expected, atol=1e-15)
         assert project_standard(np.ones(3, dtype=np.float32)).dtype == np.float64
         assert project_standard(np.ones(3, dtype=np.complex64)).dtype == np.complex128
 
