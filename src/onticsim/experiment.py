@@ -23,7 +23,7 @@ from .entropy import collision_entropy
 from .errors import ConfigError, EmptyInput, InvalidCycle, NumericViolation, SizeMismatch
 from .indexing import FactorizationShape, SubsystemMask, check_points
 from .permrep import Permutation, energy_basis
-from .reduction import _squared_norms, purity, sweep_purities
+from .reduction import Plan, _check_proper, _squared_norms
 from .states import NORM_TOLERANCE, state_from_ontic
 
 __all__ = [
@@ -213,15 +213,18 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     vectors = config.ontic_vectors or [
         random_ontic(config.shape.total, rng=rng, weight=weight) for _ in range(config.num_states)
     ]
+    masks = _enumerate_masks(config, rng)
+    # planned before any state is built, so a mask the plan rejects costs
+    # no state
+    plan = Plan(config.shape, masks)
     states = (state_from_ontic(q, config.shape) for q in vectors)
     if config.generator is not None:
         basis = energy_basis(config.generator)
         states = (basis.transform(psi) for psi in states)
-    masks = _enumerate_masks(config, rng)
     # float64 in the ontic basis, complex128 in the energy basis; the states
     # are built one at a time and only their stack outlives this line
     stack = np.stack([psi.amps for psi in states])
-    purities = sweep_purities(stack, config.shape, masks)
+    purities = plan.run(stack)
     return SweepResult(
         masks=np.array(masks),
         sizes=np.array([mask.bit_count() for mask in masks]),
@@ -301,11 +304,13 @@ def run_time_series(
     Times outside one period [0, order) are rejected unless ``allow_wrap``
     is set, in which case they fold modulo the order.  The evolved states
     are built ``BATCH_POINTS`` points at a time, each one gather of the
-    state at the time listed before it, and each block is norm-checked and
-    reduced by one ``purity`` call.  One index array is held at a time, that
-    of the last step made: whenever a row's step differs from it, the array
-    of the new step is made and checked to be a bijection of the N points,
-    as a ``Permutation``, before its first gather.
+    state at the time listed before it.  The mask's ``Plan`` is made once,
+    before the state is built, so a mask it rejects exits first; its
+    buffers are made once too, for the largest block, and each block is
+    norm-checked and run through both.  One index array is held at a time,
+    that of the last step made: whenever a row's step differs from it, the
+    array of the new step is made and checked to be a bijection of the N
+    points, as a ``Permutation``, before its first gather.
     """
     if g.n != shape.total:
         raise SizeMismatch(f"generator size {g.n} != shape total {shape.total}")
@@ -319,8 +324,11 @@ def run_time_series(
                 f"time {bad[0]} outside one period [0, {g.order}); "
                 "pass allow_wrap to fold"
             )
+    _check_proper(mask)
+    plan = Plan(shape, [mask.mask])
     prev, t_prev = state_from_ontic(q, shape).amps, 0
     rows = max(1, BATCH_POINTS // shape.total)
+    buffers = plan.buffers(min(rows, len(ts)), prev.dtype)
     # the last step made (mod the order) and its index array, which takes
     # the state at t from the one at t - step: amplitude j comes from point
     # g**-step(j)
@@ -350,7 +358,7 @@ def run_time_series(
                 raise NumericViolation(
                     f"state norm {norm!r} at t={t} is not 1 within {NORM_TOLERANCE}"
                 )
-        purities.append(purity(block, mask))
+        purities.append(plan.run(block, buffers)[:, 0])
     s2 = collision_entropy(np.concatenate(purities))
     return list(zip(ts, s2.tolist()))
 

@@ -16,21 +16,23 @@ and keeps both symmetries, so tracing S gives the S of the traced node.
 ``_side`` picks the side of a complement pair to reduce, ``_gram_stack``
 forms that side's matrices by one transpose of the stack and one batched
 real Gram product, ``_squared_norms`` reduces them to purities and
-``_check_range`` checks them all at once.  ``purity`` (one mask of one
-PureState or of a stack; ``evolve`` passes it one stack per block of time
-steps) goes through all four, and so do the roots of ``sweep_purities``
-no hub serves, so those agree with ``purity`` to the last bit.
+``_check_range`` checks them all at once.
 
-``sweep_purities`` holds each complement pair of a sweep once and orders
-those subsystems in a tree: the parent of a subsystem adds its lowest
-absent position.  A subsystem whose parent is not in the sweep is a
-root; every other one is its parent's reduced matrix with one position
-traced out.  ``_plan`` covers the roots greedily with hubs, subsystems
-outside the sweep one position larger, each formed by one Gram product
-for several roots that are then one partial trace of it; a hub is kept
-only if its Gram product costs no more flops than the roots' own.  One
-flat loop runs the tree's depth-first walk in buffers allocated before
-it: one float64 buffer per depth, and two stack-sized work buffers.
+Every purity goes through one runner, ``Plan.run``.  ``_plan`` holds
+each complement pair of a mask list once and orders those subsystems in
+a tree: the parent of a subsystem adds its lowest absent position.  A
+subsystem whose parent is not in the list is a root; every other one is
+its parent's reduced matrix with one position traced out.  ``_plan``
+covers the roots greedily with hubs, subsystems outside the list one
+position larger, each formed by one Gram product for several roots that
+are then one partial trace of it; a hub is kept only if its Gram product
+costs no more flops than the roots' own.  A ``Plan`` is made once per
+shape and mask list; its run is one flat loop over the tree's
+depth-first walk in buffers sized from the plan: one float64 buffer per
+depth, and two stack-sized work buffers.  ``sweep_purities`` runs the
+plan of its masks once; ``purity`` runs the plan of one mask, a single
+Gram product; ``evolve`` makes its mask's plan and buffers once and runs
+every block of time steps through them.
 """
 
 from __future__ import annotations
@@ -163,11 +165,12 @@ def _dim_lookup(shape: FactorizationShape) -> Callable[[int], int]:
 
 def _plan(shape: FactorizationShape, masks: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """The (M,) column each mask's purities are read from and the walk of
-    ``sweep_purities``, from the shape and the masks alone.  The walk is
+    a ``Plan``, from the shape and the masks alone.  The walk is
     the depth-first visit order as the rows (mask, depth, column) of a
     (W, 3) int64 array.  A step at depth 0 is a Gram product, of a hub
     (column -1) or of a root no hub serves; a step at depth i > 0 is traced
-    out of the last earlier step at depth i - 1."""
+    out of the last earlier step at depth i - 1.  A mask whose side is over
+    ``GRAM_DIM_CAP`` raises ConfigError."""
     dim_of = _dim_lookup(shape)
     # node -> the column its purities go to: the first enumerated of its pair
     column: dict[int, int] = {}
@@ -222,80 +225,123 @@ def _plan(shape: FactorizationShape, masks: list[int]) -> tuple[np.ndarray, np.n
     return source, np.array(walk, np.int64).reshape(-1, 3)
 
 
-def _run_walk(
-    stack: np.ndarray, shape: FactorizationShape, walk: np.ndarray, out: np.ndarray
-) -> None:
-    """Run the walk of ``_plan`` on an (S, N) stack, writing the purities
-    of each step that has a column to that column of the (S, M) ``out``.
+class Plan:
+    """The walk of ``_plan`` for one shape and mask list, with everything
+    about it that does not depend on the stack: made once, then run on any
+    number of (S, N) stacks, such as a sweep's one stack or each of
+    ``evolve``'s blocks of time steps.
 
-    The chain of live reduced matrices, one per depth, is cut back to each
-    step's depth before the step, so one chain from one Gram product is
-    alive at a time.  It lives in float64 buffers allocated before the
-    loop, one per depth, each as large as the largest S * d**2 of the walk
-    at its depth: a Gram product writes into depth 0's through two work
-    buffers the size of the stack, and a trace writes the sum of its d
-    diagonal blocks into its depth's.  The buffers are freed on return.
+    It holds the walk, each Gram step's SubsystemMask, the largest d**2
+    the walk reaches at each depth, the nodes it writes, in visit order,
+    with their dimensions, and ``index``: the written node each mask's
+    purities are read from, None when that is the mask's own position, as
+    for one mask.
     """
-    dim_of = _dim_lookup(shape)
-    s = stack.shape[0]
-    # the largest node dimension at each depth, in depth order
-    largest: dict[int, int] = {}
-    for node, depth in walk[:, :2].tolist():
-        largest[depth] = max(largest.get(depth, 0), dim_of(node))
-    work = np.empty((2,) + stack.shape, stack.dtype)
-    levels = [np.empty(s * d * d) for d in largest.values()]
-    # (mask, reduced matrices) of the last step at each depth so far
-    chain: list[tuple[int, np.ndarray]] = []
-    # one row at a time: the walk as a list of Python ints would outweigh
-    # the smaller buffers
-    for step in walk:
-        node, depth, col = step.tolist()
-        del chain[depth:]
-        if depth:
-            # b is the dimension of up's positions below pos, a above it
-            up, rho = chain[-1]
-            pos = (up ^ node).bit_length() - 1
-            b, d = dim_of(up & ((1 << pos) - 1)), shape.dims[pos]
-            a = rho.shape[1] // (b * d)
-            blocks = rho.reshape(s, b, d, a, b, d, a)
-            rho = levels[depth][: s * (b * a) ** 2].reshape(s, b, a, b, a)
-            np.add(blocks[:, :, 0, :, :, 0], blocks[:, :, 1, :, :, 1], out=rho)
-            for k in range(2, d):
-                np.add(rho, blocks[:, :, k, :, :, k], out=rho)
-            rho = rho.reshape(s, b * a, b * a)
-        else:
-            rho = _gram_stack(stack, SubsystemMask(node, shape), (work, levels[0]))
-        chain.append((node, rho))
-        if col >= 0:
-            out[:, col] = _squared_norms(rho)
+
+    def __init__(self, shape: FactorizationShape, masks: list[int]) -> None:
+        source, walk = _plan(shape, masks)
+        dim_of = _dim_lookup(shape)
+        # the largest node dimension at each depth, in depth order
+        largest: dict[int, int] = {}
+        for node, depth in walk[:, :2].tolist():
+            largest[depth] = max(largest.get(depth, 0), dim_of(node))
+        written = walk[:, 2] >= 0
+        # slot[c]: the place in visit order of the node written to column c
+        slot = np.empty(len(masks), np.int64)
+        slot[walk[written, 2]] = np.arange(np.count_nonzero(written))
+        index = slot[source]
+        self.shape, self.walk, self.dim_of = shape, walk, dim_of
+        self.sizes = [d * d for d in largest.values()]
+        self.grams = {m: SubsystemMask(m, shape) for m in walk[walk[:, 1] == 0, 0].tolist()}
+        self.nodes = walk[written, 0]
+        self.dims = np.array([dim_of(m) for m in self.nodes.tolist()], np.int64)
+        self.index = None if np.array_equal(index, np.arange(len(masks))) else index
+
+    def buffers(self, rows: int, dtype: np.dtype) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The buffers the walk runs in for stacks of at most ``rows``
+        states of ``dtype``: two work buffers of that stack's size and
+        dtype, and one float64 buffer per depth, as large as the largest
+        rows * d**2 of the walk there."""
+        work = np.empty((2, rows, self.shape.total), dtype)
+        return work, [np.empty(rows * size) for size in self.sizes]
+
+    def run(
+        self, stack: np.ndarray, buffers: tuple[np.ndarray, list[np.ndarray]] | None = None
+    ) -> np.ndarray:
+        """The (S, M) purities of the plan's masks for an (S, N) stack.
+
+        The walk runs in ``buffers``, as ``Plan.buffers`` makes them for
+        at least S rows of the stack's dtype, so a caller running several
+        stacks makes them once.  Without them, the run makes its own, freed
+        before the range check and the gather.  The range check requires
+        each node's purities to lie in [1/d_node, 1], else NumericViolation
+        names the first bad node in visit order; a corrupted hub shows in
+        the first root traced out of it.
+        """
+        out = np.empty((stack.shape[0], len(self.nodes)))
+        # buffers made here die with _walk's frame, before the check
+        self._walk(stack, out, buffers or self.buffers(stack.shape[0], stack.dtype))
+        _check_range(out, self.nodes.tolist(), self.dims.tolist())
+        return out if self.index is None else out[:, self.index]
+
+    def _walk(
+        self, stack: np.ndarray, out: np.ndarray, buffers: tuple[np.ndarray, list[np.ndarray]]
+    ) -> None:
+        """Write the purities of each node the walk writes to the next
+        column of ``out``, one column per node in visit order.
+
+        The chain of live reduced matrices, one per depth, is cut back to
+        each step's depth before the step, so one chain from one Gram
+        product is alive at a time.  A Gram product writes into depth 0's
+        buffer through the two work buffers, and a trace writes the sum of
+        its d diagonal blocks into its depth's; each takes the first
+        S * d**2 entries.
+        """
+        shape, dim_of = self.shape, self.dim_of
+        s = stack.shape[0]
+        work, levels = buffers
+        work = work[:, :s]
+        # (mask, reduced matrices) of the last step at each depth so far
+        chain: list[tuple[int, np.ndarray]] = []
+        written = 0
+        # one row at a time: the walk as a list of Python ints would outweigh
+        # the smaller buffers
+        for step in self.walk:
+            node, depth, col = step.tolist()
+            del chain[depth:]
+            if depth:
+                # b is the dimension of up's positions below pos, a above it
+                up, rho = chain[-1]
+                pos = (up ^ node).bit_length() - 1
+                b, d = dim_of(up & ((1 << pos) - 1)), shape.dims[pos]
+                a = rho.shape[1] // (b * d)
+                blocks = rho.reshape(s, b, d, a, b, d, a)
+                rho = levels[depth][: s * (b * a) ** 2].reshape(s, b, a, b, a)
+                np.add(blocks[:, :, 0, :, :, 0], blocks[:, :, 1, :, :, 1], out=rho)
+                for k in range(2, d):
+                    np.add(rho, blocks[:, :, k, :, :, k], out=rho)
+                rho = rho.reshape(s, b * a, b * a)
+            else:
+                rho = _gram_stack(stack, self.grams[node], (work, levels[0]))
+            chain.append((node, rho))
+            if col >= 0:
+                out[:, written] = _squared_norms(rho)
+                written += 1
 
 
 def sweep_purities(
     stack: np.ndarray, shape: FactorizationShape, masks: list[int]
 ) -> np.ndarray:
     """The (S, M) purities of the proper masks ``masks`` (distinct ints)
-    for an (S, N) amplitude stack.
+    for an (S, N) amplitude stack: their ``Plan``, run once.
 
     A pure state gives a subsystem and its complement the same purity, so
     each complement pair is computed once, on its node, the side ``_side``
     picks, and both columns of the pair are read from it.  The first mask
     whose node has a dimension over ``GRAM_DIM_CAP`` raises ConfigError
-    before any Gram product is formed.
-
-    ``_run_walk`` runs the walk of ``_plan`` in buffers sized from it
-    before anything is allocated.  Then one range check requires each
-    node's purities to lie in [1/d_node, 1], else NumericViolation names
-    the first bad node in visit order; a corrupted hub shows in the first
-    root traced out of it.
+    while the plan is made, before anything is allocated.
     """
-    source, walk = _plan(shape, masks)
-    out = np.empty((stack.shape[0], len(masks)))
-    _run_walk(stack, shape, walk, out)
-    written = walk[walk[:, 2] >= 0]
-    nodes = written[:, 0].tolist()
-    dim_of = _dim_lookup(shape)
-    _check_range(out[:, written[:, 2]], nodes, [dim_of(m) for m in nodes])
-    return out[:, source]
+    return Plan(shape, masks).run(stack)
 
 
 def reduced_density(psi: PureState, mask: SubsystemMask) -> DensityMatrix:
@@ -315,14 +361,15 @@ def reduced_density(psi: PureState, mask: SubsystemMask) -> DensityMatrix:
 
 
 def purity(psi: PureState | np.ndarray, mask: SubsystemMask) -> float | np.ndarray:
-    """tr(rho_A**2) through the Gram matrix on the side ``_side`` picks.
+    """tr(rho_A**2), by the ``Plan`` of the one mask: the Gram matrix on
+    the side ``_side`` picks.
 
     ``psi`` is one PureState, giving one float, or the amplitudes of S
     states stacked as an (S, N) array, giving the S purities in one call
     with one transpose of the whole stack.  Real and complex stacks alike
     reduce to the real matrix of ``_gram_stack``.  A purity outside
     [1/min(d_A, d_B), 1] beyond ``PURITY_TOLERANCE`` raises
-    NumericViolation naming the mask and the stack row.
+    NumericViolation naming the side's mask and the stack row.
     """
     one = isinstance(psi, PureState)
     if one:
@@ -332,7 +379,5 @@ def purity(psi: PureState | np.ndarray, mask: SubsystemMask) -> float | np.ndarr
         raise ConfigError(f"amplitude stack of shape {psi.shape} does not match {mask.shape}")
     else:
         _check_proper(mask)
-    side, dim = _side(mask.mask, mask.dim, mask.shape)
-    purities = _squared_norms(_gram_stack(psi, mask if side == mask.mask else mask.complement()))
-    _check_range(purities[:, np.newaxis], [mask.mask], [dim])
+    purities = Plan(mask.shape, [mask.mask]).run(psi)[:, 0]
     return float(purities[0]) if one else purities

@@ -39,7 +39,7 @@ from onticsim.permrep import (
     energy_basis,
     random_permutation,
 )
-from onticsim.reduction import purity, sweep_purities
+from onticsim.reduction import Plan, purity, sweep_purities
 from onticsim.states import PureState, state_from_ontic
 
 
@@ -133,6 +133,33 @@ def brute_force_hubs(shape, nodes):
             return hubs
         hubs[best[0]] = best[1]
         unserved -= best[1]
+
+
+def spy_runs(monkeypatch):
+    """Record each run of a ``Plan`` as its stack's (shape, dtype), in call
+    order."""
+    runs = []
+    run = Plan.run
+
+    def spy(self, stack, *buffers):
+        runs.append((stack.shape, stack.dtype))
+        return run(self, stack, *buffers)
+
+    monkeypatch.setattr(Plan, "run", spy)
+    return runs
+
+
+def count_plans(monkeypatch):
+    """Record each ``_plan`` call as the number of masks it plans."""
+    plans = []
+    plan = onticsim.reduction._plan
+
+    def spy(shape, masks):
+        plans.append(len(masks))
+        return plan(shape, masks)
+
+    monkeypatch.setattr(onticsim.reduction, "_plan", spy)
+    return plans
 
 
 def spy_lattice(monkeypatch):
@@ -236,6 +263,22 @@ class TestSweepConfig:
             run_sweep(SweepConfig(shape=shape, num_states=1))
         # the check runs before any Gram product is formed
         assert grams == []
+
+    @pytest.mark.parametrize("basis", ["ontic", "energy"])
+    def test_memory_budget_builds_no_state(self, monkeypatch, basis):
+        # the masks are planned before the stack is built, so a mask over
+        # the cap costs no state
+        monkeypatch.setattr(onticsim.reduction, "GRAM_DIM_CAP", 16)
+        built = []
+        monkeypatch.setattr(
+            onticsim.experiment, "state_from_ontic", lambda q, shape: built.append(q)
+        )
+        shape = FactorizationShape.parse("2^12")
+        generator = random_permutation(shape.total, seed=1) if basis == "energy" else None
+        config = SweepConfig(shape=shape, num_states=2, generator=generator)
+        with pytest.raises(ConfigError, match="Gram matrix, over the budget 16$"):
+            run_sweep(config)
+        assert built == []
 
 
 class TestRunSweep:
@@ -375,19 +418,14 @@ class TestRunSweep:
         # complex amplitudes to the kernel as they are
         config = SweepConfig(shape=FactorizationShape((2, 2, 2)), num_states=3, seed=4)
         real = run_sweep(config)
-        dtypes = []
-
-        def spy(stack, shape, masks):
-            dtypes.append(stack.dtype)
-            return sweep_purities(stack, shape, masks)
 
         def rotated(q, shape):
             return PureState(1j * state_from_ontic(q, shape).amps, shape)
 
-        monkeypatch.setattr(onticsim.experiment, "sweep_purities", spy)
+        runs = spy_runs(monkeypatch)
         monkeypatch.setattr(onticsim.experiment, "state_from_ontic", rotated)
         result = run_sweep(config)
-        assert dtypes == [np.complex128]
+        assert [dtype for _, dtype in runs] == [np.complex128]
         assert np.array_equal(result.masks, real.masks)
         assert result.purity.shape == real.purity.shape
         assert np.all(np.abs(real.purity - result.purity) < 1e-12)
@@ -466,8 +504,7 @@ class TestRunSweep:
 
     def test_sampled_sweep_computes_each_drawn_pair_once(self, monkeypatch):
         grams = spy_lattice(monkeypatch)
-        calls = []
-        monkeypatch.setattr(onticsim.experiment, "purity", calls.append)
+        runs = spy_runs(monkeypatch)
         shape = FactorizationShape((2,) * 6)
         config = SweepConfig(shape=shape, num_states=2, seed=3, samples_per_size=4)
         result = run_sweep(config)
@@ -480,7 +517,8 @@ class TestRunSweep:
         assert unpaired and pairs
         assert sorted(written) == sorted({node_of(m, shape) for m in drawn})
         assert len(written) == len(unpaired) + len(pairs)
-        assert grams and calls == []
+        # one run of one plan over the whole stack
+        assert grams and runs == [((2, 64), np.dtype(np.float64))]
 
     @pytest.mark.parametrize("dims", [(2, 3, 2, 3, 2), (2,) * 6])
     @pytest.mark.parametrize("basis", ["ontic", "energy"])
@@ -763,6 +801,32 @@ class TestLattice:
         # a root's 128 x 128 float64 matrix is 128 KiB; the 1,716 roots
         # together would be 225 MB
         assert peak < 4 << 20
+
+    @pytest.mark.parametrize(
+        "text, basis",
+        [
+            ("2^12", "ontic"),
+            ("2^12", "energy"),
+            ("2x3x2x3x2x3x2x3", "ontic"),
+            ("2x3x2x3x2x3x2x3", "energy"),
+            ("3^7", "energy"),
+        ],
+    )
+    def test_blocks_through_one_plan_equal_one_run(self, text, basis):
+        # one plan and one set of buffers run blocks of every size from 1
+        # to S, a smaller last block after larger ones included; every
+        # block size gives the bits of one run on the whole stack
+        shape = FactorizationShape.parse(text)
+        generator = random_permutation(shape.total, seed=47) if basis == "energy" else None
+        config = SweepConfig(shape=shape, num_states=5, seed=47, generator=generator)
+        stack = sweep_stack(config)
+        plan = Plan(shape, _enumerate_masks(config, random.Random(47)))
+        whole = plan.run(stack)
+        buffers = plan.buffers(len(stack), stack.dtype)
+        for rows in range(1, len(stack) + 1):
+            blocks = [plan.run(stack[i : i + rows], buffers) for i in range(0, len(stack), rows)]
+            assert len(blocks[-1]) == (len(stack) % rows or rows)
+            assert np.array_equal(np.concatenate(blocks), whole), rows
 
     @pytest.mark.parametrize("basis", ["ontic", "energy"])
     def test_walk_allocates_only_its_buffers(self, basis):
@@ -1182,16 +1246,11 @@ class TestTimeSeries:
         q = random_ontic(24, seed=21)
         g = random_permutation(24, seed=22)
         mask = SubsystemMask.from_positions(shape, [0, 1])
-        stacks = []
-
-        def spy(stack, mask):
-            stacks.append((stack.shape, stack.dtype))
-            return purity(stack, mask)
 
         def as_complex(q, shape):
             return PureState(state_from_ontic(q, shape).amps.astype(np.complex128), shape)
 
-        monkeypatch.setattr(onticsim.experiment, "purity", spy)
+        stacks = spy_runs(monkeypatch)
         # 10 rows a block: several blocks, the last one short
         monkeypatch.setattr(onticsim.experiment, "BATCH_POINTS", 10 * 24 + 5)
         real = run_time_series(shape, q, g, mask, range(g.order))
@@ -1231,19 +1290,16 @@ class TestTimeSeries:
         assert run_time_series(shape, q, g, mask, ts, allow_wrap=True) == expected
 
     def test_a_range_makes_two_gathers_and_one_purity_call_per_block(self, monkeypatch):
-        gathers, stacks = [], []
+        gathers = []
         power_images = Permutation.power_images
 
         def counted_gather(self, t):
             gathers.append(t)
             return power_images(self, t)
 
-        def counted_purity(stack, mask):
-            stacks.append(stack.shape)
-            return purity(stack, mask)
-
         monkeypatch.setattr(Permutation, "power_images", counted_gather)
-        monkeypatch.setattr(onticsim.experiment, "purity", counted_purity)
+        runs = spy_runs(monkeypatch)
+        plans = count_plans(monkeypatch)
         shape = FactorizationShape((2,) * 12)
         g = random_permutation(4096, seed=35)
         mask = SubsystemMask.from_positions(shape, range(7))
@@ -1252,8 +1308,39 @@ class TestTimeSeries:
         assert len(series) == 99
         # the step 5 to the first time, then the step 1
         assert len(gathers) == 2
+        stacks = [shape for shape, _ in runs]
         assert len(stacks) == math.ceil(99 / rows)
         assert stacks == [(rows, 4096)] * (99 // rows) + [(99 % rows, 4096)]
+        # one plan for the whole series
+        assert plans == [1]
+
+    def test_a_mask_over_the_cap_exits_before_the_first_gather(self, monkeypatch, capsys):
+        # the mask is planned before the state is built, so its Gram side
+        # over the cap is rejected before any index array is made
+        monkeypatch.setattr(onticsim.reduction, "GRAM_DIM_CAP", 16)
+        gathers = []
+        power_images = Permutation.power_images
+
+        def counted_gather(self, t):
+            gathers.append(t)
+            return power_images(self, t)
+
+        monkeypatch.setattr(Permutation, "power_images", counted_gather)
+        built = []
+        monkeypatch.setattr(
+            onticsim.experiment, "state_from_ontic", lambda q, shape: built.append(q)
+        )
+        shape = FactorizationShape((2,) * 12)
+        g = random_permutation(4096, seed=49)
+        mask = SubsystemMask.from_positions(shape, range(6))
+        message = "mask 0b111111 needs a 64-dim Gram matrix, over the budget 16"
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            run_time_series(shape, random_ontic(4096, seed=50), g, mask, range(5, 104))
+        argv = ["evolve", "--shape", "2^12", "--generator", g.cycle_string(),
+                "--mask", "1,2,3,4,5,6", "--t-max", "99", "--allow-wrap"]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert gathers == built == []
 
     def test_corrupted_gather_is_a_numeric_violation(self, monkeypatch, capsys):
         power_images = Permutation.power_images
@@ -1370,14 +1457,9 @@ class TestTimeSeries:
                 images[images == 0] = 1
             return images
 
-        stacks = []
-
-        def counted_purity(stack, mask):
-            stacks.append(stack.shape[0])
-            return purity(stack, mask)
-
         monkeypatch.setattr(Permutation, "power_images", corrupted)
-        monkeypatch.setattr(onticsim.experiment, "purity", counted_purity)
+        runs = spy_runs(monkeypatch)
+        plans = count_plans(monkeypatch)
         # 3 rows a block: the step 5 comes first at t = 10, the first row of
         # the third block, after two blocks of step 1
         monkeypatch.setattr(onticsim.experiment, "BATCH_POINTS", 3 * 16)
@@ -1386,7 +1468,8 @@ class TestTimeSeries:
         mask = SubsystemMask.from_positions(shape, [0, 1])
         with pytest.raises(NumericViolation, match="step 5 is not a bijection of the 16 points"):
             run_time_series(shape, OnticVector.from_array(bits), g, mask, [0, 1, 2, 3, 4, 5, 10])
-        assert stacks == [3, 3]
+        assert [rows for (rows, _), _ in runs] == [3, 3]
+        assert plans == [1]
 
     def test_index_array_memory_does_not_grow_with_distinct_steps(self):
         shape = FactorizationShape((2,) * 12)
