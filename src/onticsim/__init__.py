@@ -1,7 +1,7 @@
 """Finite-dimensional quantum states from bit vectors: Hilbert-space
 factorization, subsystem entropies, and permutation evolutions."""
 
-__version__ = "0.22.0"
+__version__ = "0.23.0"
 
 from .bitstate import (
     OnticVector,
@@ -61,7 +61,6 @@ from .permrep import (
 from .reduction import (
     purity,
     reduced_density,
-    sweep_purities,
 )
 from .states import (
     DensityMatrix,

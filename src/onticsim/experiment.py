@@ -23,7 +23,7 @@ from .entropy import collision_entropy
 from .errors import ConfigError, EmptyInput, InvalidCycle, NumericViolation, SizeMismatch
 from .indexing import FactorizationShape, SubsystemMask, check_points
 from .permrep import Permutation, energy_basis
-from .reduction import Plan, _check_proper, _squared_norms
+from .reduction import Plan, _squared_norms
 from .states import NORM_TOLERANCE, state_from_ontic
 
 __all__ = [
@@ -324,7 +324,6 @@ def run_time_series(
                 f"time {bad[0]} outside one period [0, {g.order}); "
                 "pass allow_wrap to fold"
             )
-    _check_proper(mask)
     plan = Plan(shape, [mask.mask])
     prev, t_prev = state_from_ontic(q, shape).amps, 0
     rows = max(1, BATCH_POINTS // shape.total)

@@ -123,15 +123,6 @@ class SubsystemMask:
     def is_proper(self) -> bool:
         return 0 < self.mask < (1 << self.shape.k) - 1
 
-    def complement(self) -> "SubsystemMask":
-        return self._complement
-
-    @cached_property
-    def _complement(self) -> "SubsystemMask":
-        # built once, so repeated reductions on the complement's side reuse
-        # its cached positions and dim
-        return SubsystemMask(self.mask ^ ((1 << self.shape.k) - 1), self.shape)
-
     @cached_property
     def dim(self) -> int:
         """Dimension of the subsystem: product of its local dimensions."""

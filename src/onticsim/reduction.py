@@ -18,21 +18,21 @@ forms that side's matrices by one transpose of the stack and one batched
 real Gram product, ``_squared_norms`` reduces them to purities and
 ``_check_range`` checks them all at once.
 
-Every purity goes through one runner, ``Plan.run``.  ``_plan`` holds
+Every purity goes through one runner, ``Plan.run``.  A ``Plan`` holds
 each complement pair of a mask list once and orders those subsystems in
 a tree: the parent of a subsystem adds its lowest absent position.  A
 subsystem whose parent is not in the list is a root; every other one is
-its parent's reduced matrix with one position traced out.  ``_plan``
+its parent's reduced matrix with one position traced out.  The plan
 covers the roots greedily with hubs, subsystems outside the list one
 position larger, each formed by one Gram product for several roots that
 are then one partial trace of it; a hub is kept only if its Gram product
-costs no more flops than the roots' own.  A ``Plan`` is made once per
-shape and mask list; its run is one flat loop over the tree's
+costs no more flops than the roots' own.  A plan is made once per shape
+and mask list, in one pass; its run is one flat loop over the tree's
 depth-first walk in buffers sized from the plan: one float64 buffer per
-depth, and two stack-sized work buffers.  ``sweep_purities`` runs the
-plan of its masks once; ``purity`` runs the plan of one mask, a single
-Gram product; ``evolve`` makes its mask's plan and buffers once and runs
-every block of time steps through them.
+depth, and two stack-sized work buffers.  The sweep runs the plan of its
+masks once; ``purity`` runs the plan of one mask, a single Gram product;
+``evolve`` makes its mask's plan and buffers once and runs every block
+of time steps through them.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .errors import ConfigError, DimensionCap, NumericViolation, TrivialSubsyste
 from .indexing import FactorizationShape, SubsystemMask
 from .states import DensityMatrix, PureState
 
-__all__ = ["reduced_density", "purity", "sweep_purities"]
+__all__ = ["reduced_density", "purity"]
 
 # slack on the purity range [1/min(d_A, d_B), 1] before a computed purity
 # counts as a broken invariant
@@ -63,24 +63,20 @@ def _check_proper(mask: SubsystemMask) -> None:
 def _check_pair(psi: PureState, mask: SubsystemMask) -> None:
     if psi.shape.dims != mask.shape.dims:
         raise ConfigError(f"mask shape {mask.shape} does not match state shape {psi.shape}")
-    _check_proper(mask)
 
 
-def _bipartite_stack(
-    stack: np.ndarray, mask: SubsystemMask, out: np.ndarray | None = None
-) -> np.ndarray:
+def _bipartite_stack(stack: np.ndarray, mask: SubsystemMask, out: np.ndarray) -> np.ndarray:
     """One contiguous (S, subsystem dim, complement dim) copy of an (S, N)
     amplitude stack, written into ``out`` (contiguous, of the stack's size
-    and dtype) if given: each state's tensor transposed to the mask's
-    positions followed by the complement's, both ascending."""
+    and dtype): each state's tensor transposed to the mask's positions
+    followed by the complement's, both ascending."""
     s = stack.shape[0]
     # stack axis 1 + p holds factor position p
     axes = [0] + [1 + p for p in mask.positions]
     axes += [1 + p for p in range(mask.shape.k) if not mask.mask >> p & 1]
     tensor = stack.reshape((s,) + mask.shape.dims).transpose(axes)
-    mats = np.empty_like(stack) if out is None else out
-    np.copyto(mats.reshape(tensor.shape), tensor)
-    return mats.reshape(s, mask.dim, -1)
+    np.copyto(out.reshape(tensor.shape), tensor)
+    return out.reshape(s, mask.dim, -1)
 
 
 def _squared_norms(rows: np.ndarray) -> np.ndarray:
@@ -163,99 +159,100 @@ def _dim_lookup(shape: FactorizationShape) -> Callable[[int], int]:
     return lambda m: low_dims[m & ((1 << half) - 1)] * high_dims[m >> half]
 
 
-def _plan(shape: FactorizationShape, masks: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The (M,) column each mask's purities are read from and the walk of
-    a ``Plan``, from the shape and the masks alone.  The walk is
-    the depth-first visit order as the rows (mask, depth, column) of a
-    (W, 3) int64 array.  A step at depth 0 is a Gram product, of a hub
-    (column -1) or of a root no hub serves; a step at depth i > 0 is traced
-    out of the last earlier step at depth i - 1.  A mask whose side is over
-    ``GRAM_DIM_CAP`` raises ConfigError."""
-    dim_of = _dim_lookup(shape)
-    # node -> the column its purities go to: the first enumerated of its pair
-    column: dict[int, int] = {}
-    source = np.empty(len(masks), dtype=np.int64)
-    for j, m in enumerate(masks):
-        node, dim = _side(m, dim_of(m), shape)
-        if dim > GRAM_DIM_CAP:
-            raise ConfigError(
-                f"mask 0b{m:b} needs a {dim}-dim Gram matrix, over the budget {GRAM_DIM_CAP}"
-            )
-        source[j] = column.setdefault(node, j)
-
-    parent: dict[int, int | None] = {m: m | (m + 1) for m in column}
-    roots = [m for m, p in parent.items() if p not in column]
-    # every subsystem outside the sweep one position larger than a root,
-    # and the roots it holds
-    holds: dict[int, list[int]] = {}
-    full = (1 << shape.k) - 1
-    for root in roots:
-        parent[root] = None
-        absent = full ^ root
-        while absent:
-            hub = root | (absent & -absent)
-            absent &= absent - 1
-            if hub not in column:
-                holds.setdefault(hub, []).append(root)
-    # greedy cover: the hub holding the most unserved roots first, the
-    # smaller mask on a tie; a key goes stale as its roots are served, and
-    # is pushed back with its new count
-    heap = [(-len(held), hub) for hub, held in holds.items()]
-    heapq.heapify(heap)
-    while heap:
-        count, hub = heapq.heappop(heap)
-        free = [root for root in holds[hub] if parent[root] is None]
-        if len(free) < -count:
-            heapq.heappush(heap, (-len(free), hub))
-        # a hub's Gram product costs no more flops than the roots' own,
-        # and stays within the cap
-        elif dim_of(hub) <= min(GRAM_DIM_CAP, sum(dim_of(root) for root in free)):
-            parent.update(dict.fromkeys(free, hub))
-    children: dict[int | None, list[int]] = {}
-    for node, up in parent.items():
-        children.setdefault(up, []).append(node)
-    # the Gram products: each hub, then each root no hub serves
-    own = children.pop(None, [])
-    todo = [(top, 0) for top in [up for up in children if up not in column] + own][::-1]
-    walk: list[int] = []  # flat: three list slots a step
-    while todo:
-        node, depth = todo.pop()
-        walk += node, depth, column.get(node, -1)
-        todo += [(child, depth + 1) for child in children.get(node, [])[::-1]]
-    return source, np.array(walk, np.int64).reshape(-1, 3)
-
-
 class Plan:
-    """The walk of ``_plan`` for one shape and mask list, with everything
-    about it that does not depend on the stack: made once, then run on any
-    number of (S, N) stacks, such as a sweep's one stack or each of
-    ``evolve``'s blocks of time steps.
+    """The walk of one shape and mask list, with everything about it that
+    does not depend on the stack: made once, then run on any number of
+    (S, N) stacks, such as a sweep's one stack or each of ``evolve``'s
+    blocks of time steps.
 
-    It holds the walk, each Gram step's SubsystemMask, the largest d**2
-    the walk reaches at each depth, the nodes it writes, in visit order,
-    with their dimensions, and ``index``: the written node each mask's
-    purities are read from, None when that is the mask's own position, as
-    for one mask.
+    The walk is the depth-first visit order of the tree as the rows
+    (mask, depth, column) of a (W, 3) int64 array.  A step at depth 0 is a
+    Gram product, of a hub (column -1) or of a root no hub serves; a step at
+    depth i > 0 is traced out of the last earlier step at depth i - 1; a
+    step's column is the first mask of the list whose node it is, -1 for a
+    hub.  The plan also holds each Gram step's SubsystemMask, the largest
+    d**2 the walk reaches at each depth, the nodes it writes, in visit
+    order, with their dimensions, and ``index``: for each mask, the place
+    in that order of the node its purities are read from.
+
+    An empty or full mask raises TrivialSubsystem, and a mask whose node is
+    over ``GRAM_DIM_CAP`` ConfigError, before anything is allocated.
     """
 
     def __init__(self, shape: FactorizationShape, masks: list[int]) -> None:
-        source, walk = _plan(shape, masks)
         dim_of = _dim_lookup(shape)
+        # node -> the column its purities go to: the first enumerated of its pair
+        column: dict[int, int] = {}
+        mask_nodes: list[int] = []
+        for j, m in enumerate(masks):
+            node, dim = _side(m, dim_of(m), shape)
+            # the empty side is picked only for an empty or a full mask
+            if not node:
+                _check_proper(SubsystemMask(m, shape))
+            if dim > GRAM_DIM_CAP:
+                raise ConfigError(
+                    f"mask 0b{m:b} needs a {dim}-dim Gram matrix, over the budget {GRAM_DIM_CAP}"
+                )
+            column.setdefault(node, j)
+            mask_nodes.append(node)
+
+        parent: dict[int, int | None] = {m: m | (m + 1) for m in column}
+        roots = [m for m, p in parent.items() if p not in column]
+        # every subsystem outside the sweep one position larger than a root,
+        # and the roots it holds
+        holds: dict[int, list[int]] = {}
+        full = (1 << shape.k) - 1
+        for root in roots:
+            parent[root] = None
+            absent = full ^ root
+            while absent:
+                hub = root | (absent & -absent)
+                absent &= absent - 1
+                if hub not in column:
+                    holds.setdefault(hub, []).append(root)
+        # greedy cover: the hub holding the most unserved roots first, the
+        # smaller mask on a tie; a key goes stale as its roots are served, and
+        # is pushed back with its new count.  A hub of one root is at least
+        # twice its dimension, so it never passes the flops test below
+        heap = [(-len(held), hub) for hub, held in holds.items() if len(held) > 1]
+        heapq.heapify(heap)
+        while heap:
+            count, hub = heapq.heappop(heap)
+            free = [root for root in holds[hub] if parent[root] is None]
+            if len(free) < -count:
+                heapq.heappush(heap, (-len(free), hub))
+            # a hub's Gram product costs no more flops than the roots' own,
+            # and stays within the cap
+            elif dim_of(hub) <= min(GRAM_DIM_CAP, sum(dim_of(root) for root in free)):
+                parent.update(dict.fromkeys(free, hub))
+        children: dict[int | None, list[int]] = {}
+        for node, up in parent.items():
+            children.setdefault(up, []).append(node)
+        # the Gram products: each hub, then each root no hub serves
+        own = children.pop(None, [])
+        todo = [(top, 0) for top in [up for up in children if up not in column] + own][::-1]
+        walk: list[int] = []  # flat: three list slots a step
         # the largest node dimension at each depth, in depth order
         largest: dict[int, int] = {}
-        for node, depth in walk[:, :2].tolist():
+        # written node -> its place in visit order
+        slot: dict[int, int] = {}
+        self.grams: dict[int, SubsystemMask] = {}
+        while todo:
+            node, depth = todo.pop()
+            col = column.get(node, -1)
+            walk += node, depth, col
             largest[depth] = max(largest.get(depth, 0), dim_of(node))
-        written = walk[:, 2] >= 0
-        # slot[c]: the place in visit order of the node written to column c
-        slot = np.empty(len(masks), np.int64)
-        slot[walk[written, 2]] = np.arange(np.count_nonzero(written))
-        index = slot[source]
-        self.shape, self.walk, self.dim_of = shape, walk, dim_of
+            if not depth:
+                self.grams[node] = SubsystemMask(node, shape)
+            if col >= 0:
+                slot[node] = len(slot)
+            todo += [(child, depth + 1) for child in children.get(node, [])[::-1]]
+        self.shape, self.dim_of = shape, dim_of
+        self.walk = np.array(walk, np.int64).reshape(-1, 3)
         self.sizes = [d * d for d in largest.values()]
-        self.grams = {m: SubsystemMask(m, shape) for m in walk[walk[:, 1] == 0, 0].tolist()}
-        self.nodes = walk[written, 0]
-        self.dims = np.array([dim_of(m) for m in self.nodes.tolist()], np.int64)
-        self.index = None if np.array_equal(index, np.arange(len(masks))) else index
+        self.nodes = list(slot)
+        self.dims = [dim_of(m) for m in self.nodes]
+        self.index = np.array([slot[node] for node in mask_nodes], np.int64)
 
     def buffers(self, rows: int, dtype: np.dtype) -> tuple[np.ndarray, list[np.ndarray]]:
         """The buffers the walk runs in for stacks of at most ``rows``
@@ -281,8 +278,8 @@ class Plan:
         out = np.empty((stack.shape[0], len(self.nodes)))
         # buffers made here die with _walk's frame, before the check
         self._walk(stack, out, buffers or self.buffers(stack.shape[0], stack.dtype))
-        _check_range(out, self.nodes.tolist(), self.dims.tolist())
-        return out if self.index is None else out[:, self.index]
+        _check_range(out, self.nodes, self.dims)
+        return out[:, self.index]
 
     def _walk(
         self, stack: np.ndarray, out: np.ndarray, buffers: tuple[np.ndarray, list[np.ndarray]]
@@ -329,26 +326,12 @@ class Plan:
                 written += 1
 
 
-def sweep_purities(
-    stack: np.ndarray, shape: FactorizationShape, masks: list[int]
-) -> np.ndarray:
-    """The (S, M) purities of the proper masks ``masks`` (distinct ints)
-    for an (S, N) amplitude stack: their ``Plan``, run once.
-
-    A pure state gives a subsystem and its complement the same purity, so
-    each complement pair is computed once, on its node, the side ``_side``
-    picks, and both columns of the pair are read from it.  The first mask
-    whose node has a dimension over ``GRAM_DIM_CAP`` raises ConfigError
-    while the plan is made, before anything is allocated.
-    """
-    return Plan(shape, masks).run(stack)
-
-
 def reduced_density(psi: PureState, mask: SubsystemMask) -> DensityMatrix:
     """Partial trace over the complement, rebuilt from the real matrix
     S = Re rho + Im rho of ``_gram_stack``: rho = ((S + S^T) + i(S - S^T))/2,
     Hermitian to the last bit; (S + S^T)/2 for a real state."""
     _check_pair(psi, mask)
+    _check_proper(mask)
     if mask.dim > REDUCED_DENSITY_CAP:
         raise DimensionCap(f"subsystem dimension {mask.dim} exceeds cap {REDUCED_DENSITY_CAP}")
     gram = _gram_stack(psi.amps[np.newaxis], mask)[0]
@@ -360,24 +343,15 @@ def reduced_density(psi: PureState, mask: SubsystemMask) -> DensityMatrix:
     return DensityMatrix(symmetric / 2.0)
 
 
-def purity(psi: PureState | np.ndarray, mask: SubsystemMask) -> float | np.ndarray:
+def purity(psi: PureState, mask: SubsystemMask) -> float:
     """tr(rho_A**2), by the ``Plan`` of the one mask: the Gram matrix on
     the side ``_side`` picks.
 
-    ``psi`` is one PureState, giving one float, or the amplitudes of S
-    states stacked as an (S, N) array, giving the S purities in one call
-    with one transpose of the whole stack.  Real and complex stacks alike
-    reduce to the real matrix of ``_gram_stack``.  A purity outside
-    [1/min(d_A, d_B), 1] beyond ``PURITY_TOLERANCE`` raises
-    NumericViolation naming the side's mask and the stack row.
+    Real and complex amplitudes alike reduce to the real matrix of
+    ``_gram_stack``.  A mask of another shape raises ConfigError, an empty
+    or full one TrivialSubsystem from its plan, and a purity outside
+    [1/min(d_A, d_B), 1] beyond ``PURITY_TOLERANCE`` NumericViolation
+    naming the side's mask.
     """
-    one = isinstance(psi, PureState)
-    if one:
-        _check_pair(psi, mask)
-        psi = psi.amps[np.newaxis]
-    elif psi.ndim != 2 or psi.shape[1] != mask.shape.total:
-        raise ConfigError(f"amplitude stack of shape {psi.shape} does not match {mask.shape}")
-    else:
-        _check_proper(mask)
-    purities = Plan(mask.shape, [mask.mask]).run(psi)[:, 0]
-    return float(purities[0]) if one else purities
+    _check_pair(psi, mask)
+    return float(Plan(mask.shape, [mask.mask]).run(psi.amps[np.newaxis])[0, 0])

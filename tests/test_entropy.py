@@ -175,7 +175,8 @@ class TestSpectrumOf:
             psi = state_from_ontic(random_ontic(12, rng=rng), shape)
             mask = SubsystemMask.from_positions(shape, [0, 2])
             lhs = spectrum_of(reduced_density(psi, mask)).values
-            rhs = spectrum_of(reduced_density(psi, mask.complement())).values
+            other = SubsystemMask(mask.mask ^ ((1 << shape.k) - 1), shape)
+            rhs = spectrum_of(reduced_density(psi, other)).values
             keep_l = lhs[lhs > 1e-10]
             keep_r = rhs[rhs > 1e-10]
             assert keep_l.size == keep_r.size

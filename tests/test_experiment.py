@@ -39,7 +39,7 @@ from onticsim.permrep import (
     energy_basis,
     random_permutation,
 )
-from onticsim.reduction import Plan, purity, sweep_purities
+from onticsim.reduction import Plan, purity
 from onticsim.states import PureState, state_from_ontic
 
 
@@ -150,15 +150,15 @@ def spy_runs(monkeypatch):
 
 
 def count_plans(monkeypatch):
-    """Record each ``_plan`` call as the number of masks it plans."""
+    """Record each ``Plan`` made as the number of masks it plans."""
     plans = []
-    plan = onticsim.reduction._plan
+    init = Plan.__init__
 
-    def spy(shape, masks):
+    def spy(self, shape, masks):
         plans.append(len(masks))
-        return plan(shape, masks)
+        init(self, shape, masks)
 
-    monkeypatch.setattr(onticsim.reduction, "_plan", spy)
+    monkeypatch.setattr(Plan, "__init__", spy)
     return plans
 
 
@@ -180,9 +180,8 @@ def walk_of(shape, masks):
     """The steps (mask, depth, column) of the sweep's walk, each with the
     mask of the step it is traced out of, the last earlier step one depth
     shallower (None at depth 0)."""
-    _, walk = onticsim.reduction._plan(shape, masks)
     last, steps = {}, []
-    for mask, depth, column in walk.tolist():
+    for mask, depth, column in Plan(shape, masks).walk.tolist():
         steps.append((mask, depth, column, last.get(depth - 1)))
         last[depth] = mask
     return steps
@@ -604,8 +603,8 @@ class TestLattice:
     )
     def test_roots_equal_purity_bit_for_bit(self, monkeypatch, text, basis):
         # a node formed by its own Gram product, a root no hub serves, comes
-        # from the same Gram former and reducer as purity's, so the two
-        # agree to the last bit
+        # from the same Gram former and reducer as its one-mask plan, which
+        # purity runs, so the two agree to the last bit
         grams = spy_lattice(monkeypatch)
         shape = FactorizationShape.parse(text)
         generator = random_permutation(shape.total, seed=23) if basis == "energy" else None
@@ -617,7 +616,7 @@ class TestLattice:
         assert own and set(own) <= set(lattice_roots(nodes))
         column = columns(result)
         for root in own:
-            direct = purity(stack, SubsystemMask(root, shape))
+            direct = Plan(shape, [root]).run(stack)[:, 0]
             assert np.array_equal(result.purity[:, column[root]], direct), root
 
     @pytest.mark.parametrize("scale", [10.0, 0.1, float("nan")])
@@ -698,7 +697,7 @@ class TestLattice:
         shape = FactorizationShape.parse(text)
         config = SweepConfig(shape=shape, seed=29, samples_per_size=samples)
         masks = _enumerate_masks(config, random.Random(29))
-        source, _ = onticsim.reduction._plan(shape, masks)
+        plan = Plan(shape, masks)
         steps = walk_of(shape, masks)
         nodes = {node_of(m, shape) for m in masks}
         # each pair computed once, on its node, in the column of the side
@@ -709,7 +708,7 @@ class TestLattice:
         full = (1 << shape.k) - 1
         for node, c in column.items():
             assert c == min(j for j, m in enumerate(masks) if m in (node, full ^ node))
-        assert source.tolist() == [column[node_of(m, shape)] for m in masks]
+        assert [plan.nodes[i] for i in plan.index] == [node_of(m, shape) for m in masks]
         hubs = {}
         for mask, depth, c, up in steps:
             if c < 0:
@@ -781,7 +780,7 @@ class TestLattice:
         generator = random_permutation(shape.total, seed=43) if basis == "energy" else None
         config = SweepConfig(shape=shape, num_states=3, seed=43, generator=generator)
         result = run_sweep(config)
-        purities = sweep_purities(sweep_stack(config), shape, result.masks.tolist())
+        purities = Plan(shape, result.masks.tolist()).run(sweep_stack(config))
         assert isinstance(purities, np.ndarray) and purities.dtype == np.float64
         assert purities.shape == (3, result.masks.size)
         assert np.array_equal(purities, result.purity)
@@ -793,7 +792,7 @@ class TestLattice:
         masks = _enumerate_masks(config, random.Random(0))
         tracemalloc.start()
         try:
-            purities = sweep_purities(stack, shape, masks)
+            purities = Plan(shape, masks).run(stack)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -843,10 +842,10 @@ class TestLattice:
             largest[depth] = max(largest.get(depth, 0), dim_of(mask, shape))
         buffers = 8 * 10 * sum(d * d for d in largest.values())
         bound = buffers + 2 * stack.nbytes + 8 * 10 * len(masks) + (256 << 10)
-        sweep_purities(stack, shape, masks)
+        Plan(shape, masks).run(stack)
         tracemalloc.start()
         try:
-            sweep_purities(stack, shape, masks)
+            Plan(shape, masks).run(stack)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -948,7 +947,7 @@ class TestFactorizationIdentities:
         masks = [
             sum(1 << i for i, p in enumerate(sigma) if m >> p & 1) for m in result.masks.tolist()
         ]
-        purities = sweep_purities(moved_stack, moved, masks)
+        purities = Plan(moved, masks).run(moved_stack)
         assert np.abs(purities - result.purity).max() < 1e-13
 
 

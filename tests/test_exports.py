@@ -39,7 +39,7 @@ EXPORTS = [
     "purity", "random_ontic", "random_permutation", "reduced_density",
     "renyi_entropy", "run_cycle_census", "run_sweep", "run_time_series",
     "spectrum_of", "state_from_ontic", "summarize_by_size", "sweep_csv",
-    "sweep_purities", "von_neumann_entropy",
+    "von_neumann_entropy",
 ]
 
 

@@ -9,9 +9,9 @@ from oracle import arrange, purity_from_density, reduced_density_bruteforce
 
 import onticsim.reduction
 from onticsim.bitstate import OnticVector, complement, random_ontic
-from onticsim.errors import ConfigError, DimensionCap, NumericViolation, TrivialSubsystem
+from onticsim.errors import DimensionCap, NumericViolation, TrivialSubsystem
 from onticsim.indexing import FactorizationShape, SubsystemMask
-from onticsim.reduction import _bipartite_stack, _gram_stack, purity, reduced_density
+from onticsim.reduction import Plan, _bipartite_stack, _gram_stack, purity, reduced_density
 from onticsim.states import PureState, state_from_ontic
 
 
@@ -28,7 +28,13 @@ def proper_masks(shape):
 def bipartite_view(psi, mask):
     """The (subsystem x complement) matrix the kernel forms its Gram
     product from."""
-    return _bipartite_stack(psi.amps[np.newaxis], mask)[0]
+    stack = psi.amps[np.newaxis]
+    return _bipartite_stack(stack, mask, np.empty_like(stack))[0]
+
+
+def other_side(mask):
+    """The complement of ``mask`` in its shape."""
+    return SubsystemMask(mask.mask ^ ((1 << mask.shape.k) - 1), mask.shape)
 
 
 def bruteforce(psi, mask):
@@ -49,7 +55,7 @@ class TestBipartiteView:
         psi = state_from_ontic(random_ontic(12, seed=1), shape)
         mask = SubsystemMask.from_positions(shape, [0, 1])
         a = bipartite_view(psi, mask)
-        b = bipartite_view(psi, mask.complement())
+        b = bipartite_view(psi, other_side(mask))
         np.testing.assert_array_equal(a, b.T)
 
     def test_norm_one(self):
@@ -161,7 +167,7 @@ class TestBruteForceOracle:
             psi = state_from_ontic(random_ontic(12, rng=rng), shape)
             for mask in proper_masks(shape):
                 lhs = np.linalg.eigvalsh(bruteforce(psi, mask))
-                rhs = np.linalg.eigvalsh(bruteforce(psi, mask.complement()))
+                rhs = np.linalg.eigvalsh(bruteforce(psi, other_side(mask)))
                 big_l = np.sort(lhs[lhs > 1e-10])[::-1]
                 big_r = np.sort(rhs[rhs > 1e-10])[::-1]
                 assert big_l.size == big_r.size
@@ -191,7 +197,7 @@ class TestPurity:
             for mask in proper_masks(shape):
                 # purity picks one side for both; the complement's own
                 # reduced matrix is the other side, computed separately
-                own = purity_from_density(reduced_density(psi, mask.complement()).entries)
+                own = purity_from_density(reduced_density(psi, other_side(mask)).entries)
                 assert purity(psi, mask) == pytest.approx(own, abs=1e-12)
 
     def test_bounds(self):
@@ -255,7 +261,7 @@ class TestLargeScaleSymmetry:
         shape = FactorizationShape.parse("2^12")
         psi = state_from_ontic(random_ontic(4096, seed=99), shape)
         mask = SubsystemMask.from_positions(shape, [0, 3, 5])
-        own = purity_from_density(reduced_density(psi, mask.complement()).entries)
+        own = purity_from_density(reduced_density(psi, other_side(mask)).entries)
         assert purity(psi, mask) == pytest.approx(own, abs=1e-11)
 
 
@@ -265,6 +271,12 @@ def ontic_stack(shape, count, seed):
         [state_from_ontic(random_ontic(shape.total, rng=rng), shape).amps
          for _ in range(count)]
     )
+
+
+def stacked_purity(stack, mask):
+    """The purities of one mask for each row of an (S, N) stack, by the
+    mask's one-mask ``Plan``."""
+    return Plan(mask.shape, [mask.mask]).run(stack)[:, 0]
 
 
 def phased(stack, seed):
@@ -311,7 +323,7 @@ class TestStackedPurity:
             stack = phased(stack, seed=len(dims))
         assert stack.dtype == (np.complex128 if complex_amps else np.float64)
         for mask in proper_masks(shape):
-            got = purity(stack, mask)
+            got = stacked_purity(stack, mask)
             for row, amps in enumerate(stack):
                 rho = reduced_density_bruteforce(amps, dims, mask.positions)
                 assert abs(got[row] - purity_from_density(rho)) < 1e-12
@@ -324,28 +336,64 @@ class TestStackedPurity:
         if complex_amps:
             stack = phased(stack, seed=22)
         for mask in proper_masks(shape):
-            together = purity(stack, mask)
+            together = stacked_purity(stack, mask)
             for row in range(len(stack)):
-                alone = purity(stack[row:row + 1].copy(), mask)
+                alone = stacked_purity(stack[row:row + 1].copy(), mask)
                 assert alone[0] == together[row]
 
     def test_out_of_range_purity_raises(self):
         shape = FactorizationShape((2, 3, 2))
         stack = ontic_stack(shape, 2, seed=24) * 1.5
         with pytest.raises(NumericViolation, match="state row 0"):
-            purity(stack, SubsystemMask.from_positions(shape, [0]))
+            stacked_purity(stack, SubsystemMask.from_positions(shape, [0]))
 
     def test_nan_purity_raises(self):
         shape = FactorizationShape((2, 3, 2))
         stack = ontic_stack(shape, 2, seed=24)
         stack[1, 5] = np.nan
         with pytest.raises(NumericViolation, match="purity nan of mask 0b1, state row 1"):
-            purity(stack, SubsystemMask.from_positions(shape, [0]))
+            stacked_purity(stack, SubsystemMask.from_positions(shape, [0]))
 
     def test_rejects_bad_inputs(self):
         shape = FactorizationShape((2, 3, 2))
         stack = ontic_stack(shape, 2, seed=25)
         with pytest.raises(TrivialSubsystem):
-            purity(stack, SubsystemMask(0, shape))
-        with pytest.raises(ConfigError):
-            purity(stack[:, :6], SubsystemMask.from_positions(shape, [0]))
+            stacked_purity(stack, SubsystemMask(0, shape))
+
+
+class TestPlan:
+    @pytest.mark.parametrize("text", ["2x3x2", "2^12"])
+    def test_improper_mask_rejected_before_any_allocation(self, monkeypatch, text):
+        shape = FactorizationShape.parse(text)
+        calls = []
+        empty = np.empty
+
+        def spy_empty(*args, **kwargs):
+            calls.append("np.empty")
+            return empty(*args, **kwargs)
+
+        def spy_gram(*args):
+            calls.append("_gram_stack")
+
+        monkeypatch.setattr(np, "empty", spy_empty)
+        monkeypatch.setattr(onticsim.reduction, "_gram_stack", spy_gram)
+        for mask in (0, (1 << shape.k) - 1):
+            with pytest.raises(
+                TrivialSubsystem, match="reduction needs a proper nonempty subset"
+            ):
+                Plan(shape, [mask])
+            # after a proper mask too
+            with pytest.raises(TrivialSubsystem):
+                Plan(shape, [1, mask])
+        assert calls == []
+
+    @pytest.mark.parametrize("text", ["2x3x2", "2^12", "2x3x2x3x2x3x2x3"])
+    def test_one_mask_walk_is_one_gram_step(self, text):
+        shape = FactorizationShape.parse(text)
+        for mask in range(1, (1 << shape.k) - 1):
+            plan = Plan(shape, [mask])
+            node = plan.walk[0, 0]
+            assert plan.walk.tolist() == [[node, 0, 0]]
+            assert node in (mask, mask ^ ((1 << shape.k) - 1))
+            assert plan.nodes == [node] and plan.index.tolist() == [0]
+            assert list(plan.grams) == [node]

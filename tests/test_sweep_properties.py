@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from oracle import energy_matrix, exact_purity, oracle_purities
 
 from onticsim.indexing import FactorizationShape
-from onticsim.reduction import sweep_purities
+from onticsim.reduction import Plan
 
 MAX_POINTS = 256
 
@@ -71,7 +71,7 @@ def test_sweep_purities_equal_the_oracle(data):
     if images is not None:
         stack = stack @ energy_matrix(images).T
 
-    purities = sweep_purities(stack, FactorizationShape(dims), masks)
+    purities = Plan(FactorizationShape(dims), masks).run(stack)
 
     assert purities.shape == (len(patterns), len(masks))
     for j, mask in enumerate(masks):
