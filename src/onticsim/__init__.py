@@ -1,7 +1,7 @@
 """Finite-dimensional quantum states from bit vectors: Hilbert-space
 factorization, subsystem entropies, and permutation evolutions."""
 
-__version__ = "0.23.0"
+__version__ = "0.24.0"
 
 from .bitstate import (
     OnticVector,

@@ -22,7 +22,7 @@ from .bitstate import OnticVector, random_ontic
 from .entropy import collision_entropy
 from .errors import ConfigError, EmptyInput, InvalidCycle, NumericViolation, SizeMismatch
 from .indexing import FactorizationShape, SubsystemMask, check_points
-from .permrep import Permutation, energy_basis
+from .permrep import Permutation, _random_rows, _stream_base, energy_basis
 from .reduction import Plan, _squared_norms
 from .states import NORM_TOLERANCE, state_from_ontic
 
@@ -394,18 +394,15 @@ def run_cycle_census(n: int, samples: int, seed: int | None = 0) -> CycleCensus:
         raise ConfigError(f"samples must be >= 1, got {samples}")
     if seed is not None and seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
+    base = _stream_base(seed)
     rows = max(1, BATCH_POINTS // n)
     sums = [0] * (n + 1)
     squares = [0] * (n + 1)
     for done in range(0, samples, rows):
         count = min(rows, samples - done)
-        # row by row the same stream as one (samples, n) draw
-        batch = rng.permuted(np.tile(np.arange(n), (count, 1)), axis=1)
-        # row s shifted onto points s*n..s*n+n-1: one permutation whose
-        # cycles are exactly the rows' cycles
-        block = (batch + n * np.arange(count)[:, None]).ravel()
-        labels = Permutation(block).labels
+        # the batch's samples, each shifted onto its own n points: one
+        # permutation whose cycles are exactly the samples' cycles
+        labels = Permutation(_random_rows(n, done, count, base)).labels
         # each cycle counted once, at its minimum: its sample is the
         # minimum // n, its length the number of points with that label
         minima = np.flatnonzero(labels == np.arange(labels.size))

@@ -13,6 +13,7 @@ eigenbasis ("energy basis") of the evolution.
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -206,14 +207,100 @@ class Permutation:
         return np.array_equal(self.images, other.images)
 
 
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the stream's increment
+# and the two multipliers of its output mix
+_GAMMA = 0x9E3779B97F4A7C15
+_MULTIPLIERS = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+_WORD = (1 << 64) - 1
+# a row's redraw a reads the keys a << 62 counters past its first draw's;
+# no run reaches 2**62 points, so no other row's draw reads them
+_REDRAW_SHIFT = 62
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function, in place on uint64 words.  Each
+    xor-shift and each odd multiplier is invertible, so the mix is a
+    bijection of 64-bit words."""
+    tmp = np.empty_like(z)
+    for shift, multiplier in zip((30, 27), _MULTIPLIERS):
+        z ^= np.right_shift(z, shift, out=tmp)
+        z *= multiplier
+    z ^= np.right_shift(z, 31, out=tmp)
+    return z
+
+
+def _keys(base: int, first: int, count: int) -> np.ndarray:
+    """Keys first .. first + count - 1 of the stream at ``base``, in counter
+    form: key c is mix(base + c * gamma) mod 2**64."""
+    z = np.arange(count, dtype=np.uint64)
+    z *= _GAMMA
+    z += (base + first * _GAMMA) & _WORD
+    return _mix(z)
+
+
+def _stream_base(seed: int | None) -> int:
+    """The stream's base for a seed >= 0: the seed itself below 2**64.
+    Larger seeds are folded in limb by limb, from the top one down, each
+    step base = mix(base) ^ limb; mix(0) = 0 and mix is a bijection, so no
+    limb is dropped.  ``None`` reads 8 bytes of ``os.urandom``."""
+    if seed is None:
+        return int.from_bytes(os.urandom(8), "little")
+    base = 0
+    for shift in range(max(seed.bit_length() - 1, 0) // 64 * 64, -1, -64):
+        base = int(_mix(np.array([base], dtype=np.uint64))[0]) ^ ((seed >> shift) & _WORD)
+    return base
+
+
+def _rank_rows(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each n-key row's argsort, shifted by n times the row's index, laid
+    end to end, and the indices of the rows with two equal keys."""
+    images = keys.reshape(-1, n).argsort(axis=1)
+    images += np.arange(0, keys.size, n)[:, None]
+    images = images.reshape(-1)
+    # the keys in sorted order: equal keys of one row are neighbours, and
+    # the pairs that straddle two rows are masked out
+    ranked = keys[images]
+    tied = ranked[1:] == ranked[:-1]
+    tied[n - 1 :: n] = False
+    return images, np.flatnonzero(tied) // n
+
+
+def _random_rows(n: int, first: int, count: int, base: int) -> np.ndarray:
+    """Samples first .. first + count - 1 of the uniform random
+    permutations of n points drawn from the stream at ``base``, as one
+    (count * n,) int64 array: sample first + j's images, each plus j * n, on
+    points j * n .. j * n + n - 1.  The array is one permutation of
+    count * n points whose cycles are exactly the samples' cycles.
+
+    Sample r is the argsort of keys r * n .. r * n + n - 1.  A sample whose
+    keys tie is drawn again, from keys no other sample reads, until none
+    tie, so each sample is uniform over the n! orders given the stream,
+    and no sample depends on how the samples are batched.  The keys of
+    distinct counters never tie, as mix is a bijection, so the redraw is a
+    guard that the stream does not need.
+    """
+    images, tied = _rank_rows(_keys(base, first * n, count * n), n)
+    for j in sorted(set(tied.tolist())):
+        redraw = 0
+        while True:
+            redraw += 1
+            counter = (redraw << _REDRAW_SHIFT) + (first + j) * n
+            row, again = _rank_rows(_keys(base, counter, n), n)
+            if not again.size:
+                break
+        images[j * n : (j + 1) * n] = row + j * n
+    return images
+
+
 def random_permutation(n: int, seed: int | None = None) -> Permutation:
-    """Uniform over all n! permutations (seeded shuffle)."""
+    """Uniform over all n! permutations: the argsort of n SplitMix64 keys,
+    the first sample of the census's stream for the same seed."""
     if n < 1:
         raise ConfigError(f"size must be >= 1, got {n}")
+    check_points(n, "a permutation")
     if seed is not None and seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
-    return Permutation(rng.permutation(n))
+    return Permutation(_random_rows(n, 0, 1, _stream_base(seed)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -36,6 +36,8 @@ from onticsim.experiment import (
 from onticsim.indexing import FactorizationShape, SubsystemMask
 from onticsim.permrep import (
     Permutation,
+    _random_rows,
+    _stream_base,
     energy_basis,
     random_permutation,
 )
@@ -1517,8 +1519,8 @@ class TestTimeSeries:
 def census_by_row_walk(n, samples, seed):
     """The census from one (samples, n) draw and a cycle walk of each row:
     the reference the batched census must equal exactly."""
-    rng = np.random.default_rng(seed)
-    perms = rng.permuted(np.tile(np.arange(n), (samples, 1)), axis=1)
+    shifted = _random_rows(n, 0, samples, _stream_base(seed)).reshape(samples, n)
+    perms = shifted - n * np.arange(samples)[:, None]
     sums = [0] * (n + 1)
     squares = [0] * (n + 1)
     for row in perms:

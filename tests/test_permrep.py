@@ -1,7 +1,12 @@
 """Tests for permutations, evolution, and the diagonalizing basis."""
 
+import itertools
 import math
 import random
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +22,13 @@ import onticsim.permrep
 from onticsim.bitstate import OnticVector, random_ontic
 from onticsim.errors import ConfigError, InvalidCycle, SizeMismatch
 from onticsim.experiment import run_cycle_census
-from onticsim.indexing import FactorizationShape
+from onticsim.indexing import POINT_CAP, FactorizationShape
 from onticsim.permrep import (
     EnergyBasis,
     Permutation,
+    _keys,
+    _random_rows,
+    _stream_base,
     energy_basis,
     random_permutation,
 )
@@ -310,13 +318,34 @@ class TestRandomPermutation:
         with pytest.raises(ConfigError):
             random_permutation(4, seed=-1)
 
+    def test_size_checked_before_allocating(self):
+        for n in (POINT_CAP + 1, 2**70):
+            with pytest.raises(ConfigError, match="a permutation of more than"):
+                random_permutation(n, seed=0)
+
+    def test_seeds_past_64_bits_give_their_own_streams(self):
+        seeds = [5, 2**64 + 5, 2**128 + 5, 2**64, 2**64 - 1, 2**200]
+        draws = {tuple(random_permutation(40, seed=s).images.tolist()) for s in seeds}
+        assert len(draws) == len(seeds)
+
+    def test_no_seed_reads_urandom(self, monkeypatch):
+        word = bytes(range(3, 11))
+        monkeypatch.setattr(onticsim.permrep.os, "urandom", lambda size: word[:size])
+        seeded = random_permutation(30, seed=int.from_bytes(word, "little"))
+        assert random_permutation(30) == seeded
+
+    def test_first_sample_of_the_census_stream(self):
+        base = _stream_base(12)
+        assert random_permutation(25, seed=12).images.tolist() == (
+            _random_rows(25, 0, 1, base).tolist()
+        )
+
     def test_cycle_counts_near_expected(self):
         # mean number of l-cycles over uniform permutations is 1/l
         counts = {l: 0 for l in range(1, 9)}
         samples = 20_000
-        rng = np.random.default_rng(77)
-        for _ in range(samples):
-            g = Permutation(rng.permutation(20))
+        for seed in range(77, 77 + samples):
+            g = random_permutation(20, seed=seed)
             for c in g.cycles:
                 if len(c) <= 8:
                     counts[len(c)] += 1
@@ -325,6 +354,94 @@ class TestRandomPermutation:
             # variance of the count is ~1/l for l <= n/2
             three_se = 3 * (1 / l / samples) ** 0.5
             assert abs(mean - 1 / l) < max(three_se, 0.02)
+
+
+def unshifted(images, n):
+    """The sampler's rows, each moved back onto points 0..n-1."""
+    rows = images.reshape(-1, n)
+    return rows - n * np.arange(rows.shape[0])[:, None]
+
+
+class TestSampler:
+    """``_random_rows``: argsorts of SplitMix64 keys, a tied row redrawn."""
+
+    def test_keys_are_splitmix64(self):
+        # the stream's first outputs from state 0, as the published
+        # generator returns them: next() adds gamma, then mixes
+        assert _keys(0, 1, 3).tolist() == [
+            0xE220A8397B1DCDAF,
+            0x6E789E6AA1B965F4,
+            0x06C45D188009454F,
+        ]
+
+    def test_every_order_of_four_points_equally_often(self):
+        samples = 24_000
+        rows = unshifted(_random_rows(4, 0, samples, _stream_base(2024)), 4)
+        counts = Counter(map(tuple, rows.tolist()))
+        assert set(counts) == set(itertools.permutations(range(4)))
+        expected = samples / 24
+        chi2 = sum((c - expected) ** 2 for c in counts.values()) / expected
+        # the 0.999 quantile of chi-square with 23 degrees of freedom
+        assert chi2 < 49.7
+
+    def test_a_tied_row_is_redrawn(self, monkeypatch):
+        n, first, count, tied_row = 6, 40, 5, 2
+        base = _stream_base(8)
+        clean = _random_rows(n, first, count, base)
+        calls = []
+
+        def one_row_ties(base, counter, size):
+            calls.append((counter, size))
+            keys = _keys(base, counter, size)
+            if size == count * n:
+                keys[tied_row * n + 4] = keys[tied_row * n + 1]
+            return keys
+
+        monkeypatch.setattr(onticsim.permrep, "_keys", one_row_ties)
+        drawn = _random_rows(n, first, count, base)
+        # the redraw reads keys 2**62 counters past the row's own: keys no
+        # first draw of any row reads
+        redraw = (1 << 62) + (first + tied_row) * n
+        assert calls == [(first * n, count * n), (redraw, n)]
+        rows, clean_rows = unshifted(drawn, n), unshifted(clean, n)
+        others = [r for r in range(count) if r != tied_row]
+        assert np.array_equal(rows[others], clean_rows[others])
+        assert rows[tied_row].tolist() == _keys(base, redraw, n).argsort().tolist()
+        for row in rows:
+            assert sorted(row.tolist()) == list(range(n))
+
+    @pytest.mark.parametrize("n", [1, 3, 20])
+    def test_rows_do_not_depend_on_the_batching(self, n):
+        base = _stream_base(31)
+        whole = unshifted(_random_rows(n, 0, 23, base), n)
+        pieces = [
+            unshifted(_random_rows(n, start, stop - start, base), n)
+            for start, stop in [(0, 1), (1, 8), (8, 9), (9, 23)]
+        ]
+        assert np.array_equal(np.concatenate(pieces), whole)
+
+
+def test_cycles_and_sampler_import_no_numpy_random():
+    # numpy.random, and the OpenSSL bindings its import of secrets loads,
+    # cost about 6 MB of resident memory
+    src = Path(onticsim.permrep.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "from onticsim.cli import main\n"
+        "assert main(['cycles', '--n', '12', '--samples', '500', '--out', '/dev/null']) == 0\n"
+        "from onticsim import random_permutation\n"
+        "random_permutation(64, seed=3)\n"
+        "random_permutation(64)\n"
+        "print(sorted({'numpy.random', 'secrets', '_hashlib'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src), "PATH": ""},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 class TestApplyPermutation:
