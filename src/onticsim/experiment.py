@@ -347,7 +347,10 @@ def run_time_series(
                         f"of the {shape.total} points"
                     ) from None
                 made = step
-            prev.take(gather, out=row)
+            # mode="raise", the default, always buffers out; gather was
+            # checked above to be a bijection of the N points, so "clip"
+            # clips nothing
+            prev.take(gather, out=row, mode="clip")
             prev, t_prev = row, t
         # checked as Python floats: numpy's per-call cost would dominate; a
         # complex block's real view holds the squares of both parts

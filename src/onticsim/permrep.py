@@ -212,9 +212,6 @@ class Permutation:
 _GAMMA = 0x9E3779B97F4A7C15
 _MULTIPLIERS = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 _WORD = (1 << 64) - 1
-# a row's redraw a reads the keys a << 62 counters past its first draw's;
-# no run reaches 2**62 points, so no other row's draw reads them
-_REDRAW_SHIFT = 62
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -251,20 +248,6 @@ def _stream_base(seed: int | None) -> int:
     return base
 
 
-def _rank_rows(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each n-key row's argsort, shifted by n times the row's index, laid
-    end to end, and the indices of the rows with two equal keys."""
-    images = keys.reshape(-1, n).argsort(axis=1)
-    images += np.arange(0, keys.size, n)[:, None]
-    images = images.reshape(-1)
-    # the keys in sorted order: equal keys of one row are neighbours, and
-    # the pairs that straddle two rows are masked out
-    ranked = keys[images]
-    tied = ranked[1:] == ranked[:-1]
-    tied[n - 1 :: n] = False
-    return images, np.flatnonzero(tied) // n
-
-
 def _random_rows(n: int, first: int, count: int, base: int) -> np.ndarray:
     """Samples first .. first + count - 1 of the uniform random
     permutations of n points drawn from the stream at ``base``, as one
@@ -272,24 +255,15 @@ def _random_rows(n: int, first: int, count: int, base: int) -> np.ndarray:
     points j * n .. j * n + n - 1.  The array is one permutation of
     count * n points whose cycles are exactly the samples' cycles.
 
-    Sample r is the argsort of keys r * n .. r * n + n - 1.  A sample whose
-    keys tie is drawn again, from keys no other sample reads, until none
-    tie, so each sample is uniform over the n! orders given the stream,
-    and no sample depends on how the samples are batched.  The keys of
-    distinct counters never tie, as mix is a bijection, so the redraw is a
-    guard that the stream does not need.
+    Sample r is the argsort of keys r * n .. r * n + n - 1.  They are the
+    mix of n distinct counters, and the mix is a bijection, so they never
+    tie: each sample is uniform over the n! orders when the keys are taken
+    as independent draws, and no sample depends on how the samples are
+    batched.
     """
-    images, tied = _rank_rows(_keys(base, first * n, count * n), n)
-    for j in sorted(set(tied.tolist())):
-        redraw = 0
-        while True:
-            redraw += 1
-            counter = (redraw << _REDRAW_SHIFT) + (first + j) * n
-            row, again = _rank_rows(_keys(base, counter, n), n)
-            if not again.size:
-                break
-        images[j * n : (j + 1) * n] = row + j * n
-    return images
+    images = _keys(base, first * n, count * n).reshape(-1, n).argsort(axis=1)
+    images += np.arange(0, count * n, n)[:, None]
+    return images.reshape(-1)
 
 
 def random_permutation(n: int, seed: int | None = None) -> Permutation:

@@ -1,8 +1,9 @@
 """References that share no code with onticsim, from plain ints and numpy
 arrays: subsystem purities and partial traces, the exact expected purity
-of fixed-weight states, dense permutation and energy-basis matrices, and
-powers of a permutation."""
+of fixed-weight states, dense permutation and energy-basis matrices,
+powers of a permutation, and the planner of onticsim 0.24.0."""
 
+import heapq
 import itertools
 import math
 from fractions import Fraction
@@ -142,3 +143,130 @@ def apply_permutation(images, amps, t=1):
     out = np.empty_like(amps)
     out[squaring_images(images, t)] = amps
     return out
+
+
+class PlanRejected(Exception):
+    """The reference planner's rejection of a mask list, as
+    (exception class name, message)."""
+
+
+def _side(mask, dim, shape):
+    comp, comp_dim = mask ^ ((1 << shape.k) - 1), shape.total // dim
+    # the last key is 0 for the side holding position 0
+    if (comp_dim, comp.bit_count(), mask & 1) < (dim, mask.bit_count(), comp & 1):
+        return comp, comp_dim
+    return mask, dim
+
+
+def _dim_table(dims):
+    table = [1]
+    for d in dims:
+        table += [t * d for t in table]
+    return table
+
+
+def _dim_lookup(shape):
+    half = shape.k // 2
+    low_dims = _dim_table(shape.dims[:half])
+    high_dims = _dim_table(shape.dims[half:])
+    return lambda m: low_dims[m & ((1 << half) - 1)] * high_dims[m >> half]
+
+
+def reference_plan(shape, masks, cap):
+    """The plan of onticsim 0.24.0 in pure Python, from a shape's ``k``,
+    ``dims`` and ``total`` and a Gram dimension cap: a dict of the walk's
+    rows (mask, depth, column), each step's trace (b, d, a) as
+    ``traces``, ``sizes``, ``nodes``, ``dims``,
+    the Gram steps' masks in visit order (``grams``) and ``index``.  Its
+    body is 0.24.0's ``Plan.__init__``, with each trace step's (b, d, a)
+    derived as 0.24.0's walk derived it.  A rejected list raises
+    PlanRejected with the class name and message onticsim raises."""
+    dim_of = _dim_lookup(shape)
+    # node -> the column its purities go to: the first enumerated of its pair
+    column = {}
+    mask_nodes = []
+    for j, m in enumerate(masks):
+        node, dim = _side(m, dim_of(m), shape)
+        # the empty side is picked only for an empty or a full mask
+        if not node:
+            raise PlanRejected(
+                "TrivialSubsystem",
+                "reduction needs a proper nonempty subset of the factor positions",
+            )
+        if dim > cap:
+            raise PlanRejected(
+                "ConfigError", f"mask 0b{m:b} needs a {dim}-dim Gram matrix, over the budget {cap}"
+            )
+        column.setdefault(node, j)
+        mask_nodes.append(node)
+
+    parent = {m: m | (m + 1) for m in column}
+    roots = [m for m, p in parent.items() if p not in column]
+    # every subsystem outside the sweep one position larger than a root,
+    # and the roots it holds
+    holds = {}
+    full = (1 << shape.k) - 1
+    for root in roots:
+        parent[root] = None
+        absent = full ^ root
+        while absent:
+            hub = root | (absent & -absent)
+            absent &= absent - 1
+            if hub not in column:
+                holds.setdefault(hub, []).append(root)
+    # greedy cover: the hub holding the most unserved roots first, the
+    # smaller mask on a tie; a key goes stale as its roots are served, and
+    # is pushed back with its new count
+    heap = [(-len(held), hub) for hub, held in holds.items() if len(held) > 1]
+    heapq.heapify(heap)
+    while heap:
+        count, hub = heapq.heappop(heap)
+        free = [root for root in holds[hub] if parent[root] is None]
+        if len(free) < -count:
+            heapq.heappush(heap, (-len(free), hub))
+        elif dim_of(hub) <= min(cap, sum(dim_of(root) for root in free)):
+            parent.update(dict.fromkeys(free, hub))
+    children = {}
+    for node, up in parent.items():
+        children.setdefault(up, []).append(node)
+    # the Gram products: each hub, then each root no hub serves
+    own = children.pop(None, [])
+    todo = [(top, 0) for top in [up for up in children if up not in column] + own][::-1]
+    walk, traces = [], []
+    # the largest node dimension at each depth, in depth order
+    largest = {}
+    # written node -> its place in visit order
+    slot = {}
+    grams = []
+    # the last step at each depth so far
+    chain = []
+    while todo:
+        node, depth = todo.pop()
+        col = column.get(node, -1)
+        del chain[depth:]
+        geometry = (0, 0, 0)
+        if depth:
+            # b is the dimension of up's positions below pos, a above it
+            up = chain[-1]
+            pos = (up ^ node).bit_length() - 1
+            b, d = dim_of(up & ((1 << pos) - 1)), shape.dims[pos]
+            geometry = (b, d, dim_of(up) // (b * d))
+        chain.append(node)
+        walk.append((node, depth, col))
+        traces.append(geometry)
+        largest[depth] = max(largest.get(depth, 0), dim_of(node))
+        if not depth:
+            grams.append(node)
+        if col >= 0:
+            slot[node] = len(slot)
+        todo += [(child, depth + 1) for child in children.get(node, [])[::-1]]
+    nodes = list(slot)
+    return {
+        "walk": walk,
+        "traces": traces,
+        "sizes": [d * d for d in largest.values()],
+        "nodes": nodes,
+        "dims": [dim_of(m) for m in nodes],
+        "grams": grams,
+        "index": [slot[node] for node in mask_nodes],
+    }

@@ -667,7 +667,7 @@ class TestLattice:
         checks = []
 
         def spy(purities, masks, dims):
-            checks.append((purities.shape, masks, dims))
+            checks.append((purities.shape, masks.tolist(), dims.tolist()))
             return check_range(purities, masks, dims)
 
         monkeypatch.setattr(

@@ -363,7 +363,7 @@ def unshifted(images, n):
 
 
 class TestSampler:
-    """``_random_rows``: argsorts of SplitMix64 keys, a tied row redrawn."""
+    """``_random_rows``: argsorts of SplitMix64 keys."""
 
     def test_keys_are_splitmix64(self):
         # the stream's first outputs from state 0, as the published
@@ -384,32 +384,6 @@ class TestSampler:
         # the 0.999 quantile of chi-square with 23 degrees of freedom
         assert chi2 < 49.7
 
-    def test_a_tied_row_is_redrawn(self, monkeypatch):
-        n, first, count, tied_row = 6, 40, 5, 2
-        base = _stream_base(8)
-        clean = _random_rows(n, first, count, base)
-        calls = []
-
-        def one_row_ties(base, counter, size):
-            calls.append((counter, size))
-            keys = _keys(base, counter, size)
-            if size == count * n:
-                keys[tied_row * n + 4] = keys[tied_row * n + 1]
-            return keys
-
-        monkeypatch.setattr(onticsim.permrep, "_keys", one_row_ties)
-        drawn = _random_rows(n, first, count, base)
-        # the redraw reads keys 2**62 counters past the row's own: keys no
-        # first draw of any row reads
-        redraw = (1 << 62) + (first + tied_row) * n
-        assert calls == [(first * n, count * n), (redraw, n)]
-        rows, clean_rows = unshifted(drawn, n), unshifted(clean, n)
-        others = [r for r in range(count) if r != tied_row]
-        assert np.array_equal(rows[others], clean_rows[others])
-        assert rows[tied_row].tolist() == _keys(base, redraw, n).argsort().tolist()
-        for row in rows:
-            assert sorted(row.tolist()) == list(range(n))
-
     @pytest.mark.parametrize("n", [1, 3, 20])
     def test_rows_do_not_depend_on_the_batching(self, n):
         base = _stream_base(31)
@@ -423,16 +397,19 @@ class TestSampler:
 
 def test_cycles_and_sampler_import_no_numpy_random():
     # numpy.random, and the OpenSSL bindings its import of secrets loads,
-    # cost about 6 MB of resident memory
+    # cost about 6 MB of resident memory; numpy.ma, which np.unique would
+    # import into the sweep's planner, about 1 MB
     src = Path(onticsim.permrep.__file__).resolve().parents[1]
     code = (
         "import sys\n"
         "from onticsim.cli import main\n"
         "assert main(['cycles', '--n', '12', '--samples', '500', '--out', '/dev/null']) == 0\n"
+        "assert main(['sweep', '--shape', '2^10', '--out', '/dev/null']) == 0\n"
         "from onticsim import random_permutation\n"
         "random_permutation(64, seed=3)\n"
         "random_permutation(64)\n"
-        "print(sorted({'numpy.random', 'secrets', '_hashlib'} & set(sys.modules)))\n"
+        "loaded = {'numpy.random', 'secrets', '_hashlib', 'numpy.ma'} & set(sys.modules)\n"
+        "print(sorted(loaded))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],

@@ -5,13 +5,29 @@ import random
 
 import numpy as np
 import pytest
-from oracle import arrange, purity_from_density, reduced_density_bruteforce
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracle import (
+    PlanRejected,
+    arrange,
+    purity_from_density,
+    reduced_density_bruteforce,
+    reference_plan,
+)
 
 import onticsim.reduction
 from onticsim.bitstate import OnticVector, complement, random_ontic
-from onticsim.errors import DimensionCap, NumericViolation, TrivialSubsystem
+from onticsim.errors import ConfigError, DimensionCap, NumericViolation, TrivialSubsystem
+from onticsim.experiment import SweepConfig, _enumerate_masks
 from onticsim.indexing import FactorizationShape, SubsystemMask
-from onticsim.reduction import Plan, _bipartite_stack, _gram_stack, purity, reduced_density
+from onticsim.reduction import (
+    Plan,
+    _bipartite_stack,
+    _gram_stack,
+    _trace,
+    purity,
+    reduced_density,
+)
 from onticsim.states import PureState, state_from_ontic
 
 
@@ -302,7 +318,8 @@ class TestGramStack:
         stack = ontic_stack(shape, count, seed=len(text) + count)
         if complex_amps:
             stack = phased(stack, seed=count)
-        rho = _gram_stack(stack, mask)
+        buffers = (np.empty((2,) + stack.shape, stack.dtype), np.empty(count * mask.dim**2))
+        rho = _gram_stack(stack, mask, buffers)
         # the real matrix S = Re rho + Im rho, which is rho for real states
         assert rho.dtype == np.float64
         assert rho.shape == (count, mask.dim, mask.dim)
@@ -395,5 +412,145 @@ class TestPlan:
             node = plan.walk[0, 0]
             assert plan.walk.tolist() == [[node, 0, 0]]
             assert node in (mask, mask ^ ((1 << shape.k) - 1))
-            assert plan.nodes == [node] and plan.index.tolist() == [0]
+            assert plan.nodes.tolist() == [node] and plan.index.tolist() == [0]
             assert list(plan.grams) == [node]
+
+
+def assert_plan_is_the_reference(shape, masks):
+    """Every array and list of the plan equal to the 0.24.0 planner's, or
+    the same first rejection."""
+    cap = onticsim.reduction.GRAM_DIM_CAP
+    try:
+        want = reference_plan(shape, masks, cap)
+    except PlanRejected as rejected:
+        with pytest.raises((TrivialSubsystem, ConfigError)) as raised:
+            Plan(shape, masks)
+        assert (type(raised.value).__name__, str(raised.value)) == rejected.args
+        return
+    plan = Plan(shape, masks)
+    assert plan.walk.dtype == np.int64 and plan.walk.shape == (len(want["walk"]), 3)
+    assert list(map(tuple, plan.walk.tolist())) == want["walk"]
+    assert list(map(tuple, plan.traces.tolist())) == want["traces"]
+    assert plan.sizes == want["sizes"]
+    assert plan.nodes.tolist() == want["nodes"]
+    assert plan.dims.tolist() == want["dims"]
+    assert list(plan.grams) == want["grams"]
+    assert plan.index.tolist() == want["index"]
+
+
+@st.composite
+def drawn_shape_and_masks(draw):
+    """A shape of 2..7 positions of dimension 2..4, and a list of its proper
+    masks with repeats and complement pairs, possibly a single mask."""
+    shape = FactorizationShape(tuple(draw(st.lists(st.integers(2, 4), min_size=2, max_size=7))))
+    full = (1 << shape.k) - 1
+    masks = draw(st.lists(st.integers(1, full - 1), min_size=1, max_size=24))
+    masks += [full ^ m for m in draw(st.lists(st.sampled_from(masks), max_size=8))]
+    masks += draw(st.lists(st.sampled_from(masks), max_size=8))
+    return shape, draw(st.permutations(masks))
+
+
+class TestPlanAgainstReference:
+    """The numpy planner against the pure-Python planner of 0.24.0 in
+    ``tests/oracle.py``: every walk row and trace, ``sizes``, ``nodes``,
+    ``dims``, the Gram steps' order and ``index``."""
+
+    @pytest.mark.parametrize(
+        "text", ["2^12", "2^14", "2x3x2x3x2x3x2x3", "3^7", "2x2x2x100", "2^6"]
+    )
+    def test_every_proper_mask(self, text):
+        shape = FactorizationShape.parse(text)
+        assert_plan_is_the_reference(shape, _enumerate_masks(SweepConfig(shape), random.Random(0)))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "text, sizes, samples",
+        [("2^20", (1, 2, 3), 50), ("2x3x2x3x2x3", None, 4), ("2^6", (1, 2), 3)],
+    )
+    def test_sampled_policies(self, text, sizes, samples, seed):
+        # CI's sampled sweeps, drawn as the sweep draws them
+        shape = FactorizationShape.parse(text)
+        config = SweepConfig(shape, seed=seed, subset_sizes=sizes, samples_per_size=samples)
+        assert_plan_is_the_reference(shape, _enumerate_masks(config, random.Random(seed)))
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(drawn=drawn_shape_and_masks())
+    def test_drawn_lists(self, drawn):
+        assert_plan_is_the_reference(*drawn)
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(drawn=drawn_shape_and_masks(), data=st.data())
+    def test_first_rejected_mask(self, drawn, data):
+        # empty and full masks among the list, and a cap some nodes exceed:
+        # the first offending mask of the list names the error
+        shape, masks = drawn
+        full = (1 << shape.k) - 1
+        for bad in data.draw(st.lists(st.sampled_from([0, full]), max_size=2)):
+            masks.insert(data.draw(st.integers(0, len(masks))), bad)
+        cap = data.draw(st.sampled_from([1, 2, 4, 8, onticsim.reduction.GRAM_DIM_CAP]))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(onticsim.reduction, "GRAM_DIM_CAP", cap)
+            assert_plan_is_the_reference(shape, masks)
+
+
+def plain_trace(rho, b, d, a):
+    """The partial trace as one plain np.add after another over the
+    diagonal-block views, in block order."""
+    s = rho.shape[0]
+    blocks = rho.reshape(s, b, d, a, b, d, a)
+    total = blocks[:, :, 0, :, :, 0] + blocks[:, :, 1, :, :, 1]
+    for k in range(2, d):
+        total = total + blocks[:, :, k, :, :, k]
+    return total.reshape(s, b * a, b * a)
+
+
+class TestTrace:
+    @pytest.mark.parametrize("a", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("basis", ["ontic", "energy"])
+    def test_equals_plain_sum_bit_for_bit(self, a, d, count, basis):
+        # the short-run order (1 < a <= 4) iterates along b; every element
+        # is still the same sum, so the bits agree exactly
+        b = 5
+        rng = np.random.default_rng(a * 100 + d * 10 + count)
+        psi = rng.standard_normal((count, b * d * a, 7))
+        if basis == "energy":
+            psi = psi + 1j * rng.standard_normal(psi.shape)
+        rho = psi @ psi.conj().transpose(0, 2, 1)
+        # the walk's real matrix S = Re rho + Im rho, which is rho for real states
+        rho = np.ascontiguousarray(rho.real + rho.imag)
+        out = np.full(count * (b * a) ** 2 + 3, np.nan)
+        got = _trace(rho, b, d, a, out)
+        assert got.shape == (count, b * a, b * a)
+        assert np.shares_memory(got, out)
+        assert np.array_equal(got, plain_trace(rho, b, d, a))
+        assert np.isnan(out[count * (b * a) ** 2 :]).all()
+
+    def test_walk_runs_in_its_buffer_size_and_restores_the_callers(self, monkeypatch):
+        # numpy's ufunc buffer size is WALK_BUFSIZE in every trace and the
+        # caller's own after the walk, also when a step raises
+        shape = FactorizationShape.parse("2^6")
+        plan = Plan(shape, list(range(1, (1 << shape.k) - 1)))
+        stack = ontic_stack(shape, 2, seed=11)
+        want = plan.run(stack)
+        trace, seen = _trace, []
+
+        def spy(*args):
+            seen.append(np.getbufsize())
+            if len(seen) == 3:
+                raise RuntimeError("step failed")
+            return trace(*args)
+
+        caller = np.setbufsize(4096)
+        try:
+            monkeypatch.setattr(onticsim.reduction, "_trace", spy)
+            with pytest.raises(RuntimeError, match="step failed"):
+                plan.run(stack)
+            assert np.getbufsize() == 4096
+            monkeypatch.setattr(onticsim.reduction, "_trace", trace)
+            assert np.array_equal(plan.run(stack), want)
+            assert np.getbufsize() == 4096
+        finally:
+            np.setbufsize(caller)
+        assert seen == [onticsim.reduction.WALK_BUFSIZE] * 3
